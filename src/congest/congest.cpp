@@ -115,10 +115,12 @@ SnnCongestResult simulate_snn_in_congest(
     Delay delay;
   };
   std::vector<SynRef> syn_of_edge;
+  snn::CompiledNetwork::RowReader row(net);
   for (NeuronId u = 0; u < net.num_neurons(); ++u) {
-    for (std::size_t k = net.out_begin(u); k < net.out_end(u); ++k) {
-      g.add_edge(u, net.syn_target(k), 1);
-      syn_of_edge.push_back({net.syn_weight(k), net.syn_delay(k)});
+    row.load(u);
+    for (std::size_t r = 0; r < row.size(); ++r) {
+      g.add_edge(u, row.targets()[r], 1);
+      syn_of_edge.push_back({row.weights()[r], row.delays()[r]});
     }
   }
 

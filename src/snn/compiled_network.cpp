@@ -187,6 +187,73 @@ CompiledNetwork::CompiledNetwork(const Network& net, StoragePolicy policy) {
   }
 }
 
+std::size_t CompiledNetwork::RowReader::load(NeuronId id) {
+  const std::size_t begin = net_->offsets_[id];
+  const std::size_t end = net_->offsets_[id + 1];
+  size_ = end - begin;
+  if (targets_.size() < size_) {
+    targets_.resize(size_);
+    weights_.resize(size_);
+    delays_.resize(size_);
+  }
+  if (size_ != 0) {
+    std::visit([&](const auto& st) { fill(st, begin, end); }, net_->store_);
+  }
+  return size_;
+}
+
+template <typename Store>
+void CompiledNetwork::RowReader::fill(const Store& st, std::size_t begin,
+                                      std::size_t end) {
+  const std::size_t len = end - begin;
+  for (std::size_t i = 0; i < len; ++i) {
+    weights_[i] = static_cast<SynWeight>(st.weights[begin + i]);
+  }
+  if constexpr (!Store::kPackedLayout) {
+    for (std::size_t i = 0; i < len; ++i) {
+      targets_[i] = static_cast<NeuronId>(st.targets[begin + i]);
+      delays_[i] = static_cast<Delay>(st.delays[begin + i]);
+    }
+  } else {
+    // Targets: copy block slices, decoding a block only when it is not the
+    // one the previous slice (or the previous row) left in block_.
+    for (std::size_t k = begin; k < end;) {
+      const std::size_t j = k / kPackedBlockSize;
+      if (j != cached_block_) {
+        st.decode_block(j, block_);
+        cached_block_ = j;
+        ++blocks_decoded_;
+      }
+      const std::size_t off = k - j * kPackedBlockSize;
+      const std::size_t take = std::min(end - k, kPackedBlockSize - off);
+      std::copy_n(block_ + off, take, targets_.data() + (k - begin));
+      k += take;
+    }
+    // Delays: position run_ on the run holding `begin`. The sentinel-
+    // terminated begin column is globally strictly increasing, so gallop
+    // forward from the cursor (a row or two ahead in ascending sweeps) and
+    // restart from run 0 only when the sweep went backwards.
+    const std::vector<std::uint32_t>& rb = st.seg_syn_begin;
+    const std::size_t runs = st.num_segments();
+    std::size_t lo = run_ < runs && rb[run_] <= begin ? run_ : 0;
+    std::size_t hi = lo + 1;
+    for (std::size_t step = 1; hi < runs && rb[hi] <= begin; step *= 2) {
+      lo = hi;
+      hi = std::min(runs, lo + step);
+    }
+    run_ = static_cast<std::size_t>(
+               std::upper_bound(rb.begin() + static_cast<std::ptrdiff_t>(lo),
+                                rb.begin() + static_cast<std::ptrdiff_t>(hi),
+                                static_cast<std::uint32_t>(begin)) -
+               rb.begin()) -
+           1;
+    for (std::size_t k = begin; k < end; ++k) {
+      while (rb[run_ + 1] <= k) ++run_;
+      delays_[k - begin] = static_cast<Delay>(st.seg_delays[run_]);
+    }
+  }
+}
+
 void CompiledNetwork::verify_invariants() const {
   const std::size_t n = num_neurons();
   SGA_REQUIRE(v_threshold_.size() == n && tau_.size() == n &&
@@ -316,25 +383,28 @@ void CompiledNetwork::verify_invariants() const {
 
   Delay max_delay = 0;
   std::vector<SynWeight> pos_in(n, 0);
+  RowReader row(*this);
   for (NeuronId i = 0; i < n; ++i) {
     SGA_REQUIRE(offsets_[i] <= offsets_[i + 1],
                 "verify: CSR row pointers not monotone at neuron "
                     << i << " (" << offsets_[i] << " > " << offsets_[i + 1]
                     << ")");
-    for (std::size_t k = offsets_[i]; k < offsets_[i + 1]; ++k) {
-      SGA_REQUIRE(syn_target(k) < n, "verify: synapse "
-                                         << k
-                                         << " targets out-of-"
-                                            "range neuron "
-                                         << syn_target(k));
-      SGA_REQUIRE(syn_delay(k) >= kMinDelay,
-                  "verify: synapse " << k << " has delay " << syn_delay(k)
-                                     << " below minimum δ = " << kMinDelay);
-      SGA_REQUIRE(std::isfinite(syn_weight(k)),
-                  "verify: synapse " << k << " has non-finite weight "
-                                     << syn_weight(k));
-      if (syn_weight(k) > 0) pos_in[syn_target(k)] += syn_weight(k);
-      max_delay = std::max(max_delay, syn_delay(k));
+    row.load(i);
+    for (std::size_t r = 0; r < row.size(); ++r) {
+      const std::size_t k = offsets_[i] + r;
+      const NeuronId tgt = row.targets()[r];
+      const Delay d = row.delays()[r];
+      const SynWeight w = row.weights()[r];
+      SGA_REQUIRE(tgt < n, "verify: synapse " << k
+                                              << " targets out-of-range neuron "
+                                              << tgt);
+      SGA_REQUIRE(d >= kMinDelay, "verify: synapse "
+                                      << k << " has delay " << d
+                                      << " below minimum δ = " << kMinDelay);
+      SGA_REQUIRE(std::isfinite(w),
+                  "verify: synapse " << k << " has non-finite weight " << w);
+      if (w > 0) pos_in[tgt] += w;
+      max_delay = std::max(max_delay, d);
     }
   }
   SGA_REQUIRE(max_delay_ == max_delay,
@@ -379,30 +449,32 @@ void CompiledNetwork::verify_invariants() const {
                     << seg_offsets_[i + 1] << ")");
     std::size_t expect = offsets_[i];
     Delay prev = 0;  // below kMinDelay, so the strict check covers run 0
+    row.load(i);
     for (std::size_t s = seg_offsets_[i]; s < seg_offsets_[i + 1]; ++s) {
-      SGA_REQUIRE(seg_syn_begin(s) == expect,
-                  "verify: segment " << s << " does not tile neuron " << i
-                                     << "'s row (begins at "
-                                     << seg_syn_begin(s) << ", expected "
-                                     << expect << ")");
-      SGA_REQUIRE(seg_syn_end(s) > seg_syn_begin(s) &&
-                      seg_syn_end(s) <= offsets_[i + 1],
-                  "verify: segment " << s << " has bad synapse range ["
-                                     << seg_syn_begin(s) << ", "
-                                     << seg_syn_end(s) << ") in a row ending "
+      const std::size_t sb = seg_syn_begin(s);
+      const std::size_t se = seg_syn_end(s);
+      const Delay sd = seg_delay(s);
+      SGA_REQUIRE(sb == expect, "verify: segment "
+                                    << s << " does not tile neuron " << i
+                                    << "'s row (begins at " << sb
+                                    << ", expected " << expect << ")");
+      SGA_REQUIRE(se > sb && se <= offsets_[i + 1],
+                  "verify: segment " << s << " has bad synapse range [" << sb
+                                     << ", " << se << ") in a row ending "
                                      << "at " << offsets_[i + 1]);
-      SGA_REQUIRE(seg_delay(s) > prev,
+      SGA_REQUIRE(sd > prev,
                   "verify: delay runs not strictly increasing at segment "
-                      << s << " of neuron " << i << " (" << seg_delay(s)
-                      << " after " << prev << ")");
-      for (std::size_t k = seg_syn_begin(s); k < seg_syn_end(s); ++k) {
-        SGA_REQUIRE(syn_delay(k) == seg_delay(s),
-                    "verify: synapse " << k << " (delay " << syn_delay(k)
-                                       << ") disagrees with its segment " << s
-                                       << " on delay " << seg_delay(s));
+                      << s << " of neuron " << i << " (" << sd << " after "
+                      << prev << ")");
+      for (std::size_t k = sb; k < se; ++k) {
+        const Delay d = row.delays()[k - offsets_[i]];
+        SGA_REQUIRE(d == sd, "verify: synapse "
+                                 << k << " (delay " << d
+                                 << ") disagrees with its segment " << s
+                                 << " on delay " << sd);
       }
-      prev = seg_delay(s);
-      expect = seg_syn_end(s);
+      prev = sd;
+      expect = se;
     }
     SGA_REQUIRE(expect == offsets_[i + 1],
                 "verify: segments leave a tail of neuron "

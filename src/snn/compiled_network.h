@@ -46,6 +46,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -160,10 +161,12 @@ class CompiledNetwork {
   // The out-synapses of neuron `id` are the index range
   // [out_begin(id), out_end(id)) into the flat arrays, sorted by delay
   // (stably: insertion order within each delay run). The syn_* accessors
-  // widen through the storage variant (one visit per call) — fine for
-  // construction-side consumers (io, congest, shard_split, tests); the
-  // simulator instead binds a kernel to the concrete store type once, via
-  // synapse_store().
+  // widen through the storage variant (one visit per call) and, on a packed
+  // freeze, decode a whole block per target and search the delay runs per
+  // delay — they are for single lookups and tests. Bulk construction-side
+  // sweeps (partitioner, shard_split, verify_invariants, io expansion,
+  // congest) read whole rows through RowReader; the simulator binds a
+  // kernel to the concrete store type once, via synapse_store().
   std::size_t out_begin(NeuronId id) const { return offsets_[id]; }
   std::size_t out_end(NeuronId id) const { return offsets_[id + 1]; }
   std::size_t out_degree(NeuronId id) const {
@@ -180,6 +183,46 @@ class CompiledNetwork {
   Delay syn_delay(std::size_t k) const {
     return std::visit([k](const auto& st) { return st.delay_at(k); }, store_);
   }
+
+  /// Whole-row reader over the frozen store for bulk construction-side
+  /// sweeps. load(id) resolves the storage variant once and widens the
+  /// row's targets, weights and delays into reusable buffers (valid until
+  /// the next load). On a packed freeze the reader keeps the last decoded
+  /// block, so a sweep in ascending neuron id — contiguous or skipping
+  /// rows — decodes every block at most once, and delays are expanded from
+  /// the delay runs with a forward-moving cursor instead of one search per
+  /// synapse. Values always equal the syn_* accessors'. Not thread-safe;
+  /// use one reader per thread.
+  class RowReader {
+   public:
+    explicit RowReader(const CompiledNetwork& net) : net_(&net) {}
+    /// Decode the out-row of `id` (< num_neurons()); returns its length.
+    std::size_t load(NeuronId id);
+    std::span<const NeuronId> targets() const {
+      return {targets_.data(), size_};
+    }
+    std::span<const SynWeight> weights() const {
+      return {weights_.data(), size_};
+    }
+    std::span<const Delay> delays() const { return {delays_.data(), size_}; }
+    std::size_t size() const { return size_; }
+    /// Packed blocks decoded so far (always 0 on the flat encodings).
+    std::size_t blocks_decoded() const { return blocks_decoded_; }
+
+   private:
+    template <typename Store>
+    void fill(const Store& st, std::size_t begin, std::size_t end);
+
+    const CompiledNetwork* net_;
+    std::vector<NeuronId> targets_;
+    std::vector<SynWeight> weights_;
+    std::vector<Delay> delays_;
+    std::size_t size_ = 0;
+    std::size_t blocks_decoded_ = 0;
+    std::size_t cached_block_ = static_cast<std::size_t>(-1);
+    std::size_t run_ = 0;  ///< packed: the delay run the last row ended in
+    std::uint32_t block_[kPackedBlockSize] = {};
+  };
 
   /// The width-dispatched payload itself, for kernels that resolve the
   /// concrete store type once (Simulator's templated fan-out) instead of

@@ -472,15 +472,17 @@ Network read_network(std::istream& is) {
   // A packed file has no per-synapse lines to rebuild a builder from, so
   // validate + reassemble the compiled form first (the same path as
   // read_compiled_network) and only then expand it back into a mutable
-  // builder through the block-decoding accessors.
+  // builder one decoded row at a time.
   CompiledNetwork cn =
       CompiledNetwork::from_packed_parts(std::move(packed.parts));
   cn.verify_invariants();
   Network out;
   for (NeuronId i = 0; i < cn.num_neurons(); ++i) out.add_neuron(cn.params(i));
+  CompiledNetwork::RowReader row(cn);
   for (NeuronId i = 0; i < cn.num_neurons(); ++i) {
-    for (const Synapse& s : cn.out_synapses(i)) {
-      out.add_synapse(i, s.target, s.weight, s.delay);
+    row.load(i);
+    for (std::size_t r = 0; r < row.size(); ++r) {
+      out.add_synapse(i, row.targets()[r], row.weights()[r], row.delays()[r]);
     }
   }
   for (const auto& name : cn.group_names()) {

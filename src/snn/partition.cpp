@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "core/error.h"
@@ -36,14 +37,19 @@ void refine_partition(const CompiledNetwork& net, Partition& p) {
   // Cross-delay histogram + cut weight of the seed. The histogram is what
   // makes the lexicographic filter cheap: a move's delta touches only the
   // delays of edges incident to the moved neuron, and the partition's
-  // min-cross-delay is the smallest delay with a nonzero count.
+  // min-cross-delay is the smallest delay with a nonzero count. The same
+  // sweep counts in-degrees for the transpose below.
+  CompiledNetwork::RowReader row(net);
   std::vector<std::int64_t> hist(static_cast<std::size_t>(max_delay) + 1, 0);
+  std::vector<std::size_t> in_off(n + 1, 0);
   double cut = 0.0;
   for (NeuronId id = 0; id < n; ++id) {
-    for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-      const NeuronId tgt = net.syn_target(j);
+    row.load(id);
+    for (std::size_t r = 0; r < row.size(); ++r) {
+      const NeuronId tgt = row.targets()[r];
+      ++in_off[tgt + 1];
       if (p.shard_of[tgt] != p.shard_of[id]) {
-        const Delay d = net.syn_delay(j);
+        const Delay d = row.delays()[r];
         ++hist[static_cast<std::size_t>(d)];
         cut += 1.0 / static_cast<double>(d);
       }
@@ -58,27 +64,23 @@ void refine_partition(const CompiledNetwork& net, Partition& p) {
   }
   p.pass_min_cross_delay.push_back(cur_min);
   p.pass_cut_weight.push_back(cut);
+  p.blocks_decoded = row.blocks_decoded();
   if (S < 2 || n == 0) return;
 
   // Transpose adjacency (counting sort): refinement needs a neuron's IN
   // edges too — moving `id` changes the cut status of both edge
   // directions, and the CompiledNetwork CSR only stores out-rows.
-  std::vector<std::size_t> in_off(n + 1, 0);
-  for (NeuronId id = 0; id < n; ++id) {
-    for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-      ++in_off[net.syn_target(j) + 1];
-    }
-  }
   for (std::size_t i = 1; i <= n; ++i) in_off[i] += in_off[i - 1];
   std::vector<NeuronId> in_src(net.num_synapses());
   std::vector<Delay> in_delay(net.num_synapses());
   {
     std::vector<std::size_t> cursor(in_off.begin(), in_off.end() - 1);
     for (NeuronId id = 0; id < n; ++id) {
-      for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-        const std::size_t w = cursor[net.syn_target(j)]++;
+      row.load(id);
+      for (std::size_t r = 0; r < row.size(); ++r) {
+        const std::size_t w = cursor[row.targets()[r]]++;
         in_src[w] = id;
-        in_delay[w] = net.syn_delay(j);
+        in_delay[w] = row.delays()[r];
       }
     }
   }
@@ -106,14 +108,18 @@ void refine_partition(const CompiledNetwork& net, Partition& p) {
       const std::uint32_t s0 = p.shard_of[id];
       // Affinity of `id` to each neighboring shard: Σ 1/delay over both
       // edge directions. Self-loops move with the neuron and never change
-      // cut status, so they are excluded.
+      // cut status, so they are excluded. The row loaded here also serves
+      // every candidate's histogram delta below.
       touched.clear();
-      for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-        const NeuronId tgt = net.syn_target(j);
+      row.load(id);
+      const std::span<const NeuronId> out_tgt = row.targets();
+      const std::span<const Delay> out_delay = row.delays();
+      for (std::size_t r = 0; r < out_tgt.size(); ++r) {
+        const NeuronId tgt = out_tgt[r];
         if (tgt == id) continue;
         const std::uint32_t ts = p.shard_of[tgt];
         if (affinity[ts] == 0.0) touched.push_back(ts);
-        affinity[ts] += 1.0 / static_cast<double>(net.syn_delay(j));
+        affinity[ts] += 1.0 / static_cast<double>(out_delay[r]);
       }
       for (std::size_t j = in_off[id]; j < in_off[id + 1]; ++j) {
         const NeuronId src = in_src[j];
@@ -150,9 +156,10 @@ void refine_partition(const CompiledNetwork& net, Partition& p) {
             deltas.emplace_back(static_cast<std::size_t>(d), -1);
           }
         };
-        for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-          const NeuronId tgt = net.syn_target(j);
-          if (tgt != id) add_delta(p.shard_of[tgt], net.syn_delay(j));
+        for (std::size_t r = 0; r < out_tgt.size(); ++r) {
+          if (out_tgt[r] != id) {
+            add_delta(p.shard_of[out_tgt[r]], out_delay[r]);
+          }
         }
         for (std::size_t j = in_off[id]; j < in_off[id + 1]; ++j) {
           if (in_src[j] != id) add_delta(p.shard_of[in_src[j]], in_delay[j]);
@@ -185,6 +192,7 @@ void refine_partition(const CompiledNetwork& net, Partition& p) {
     p.pass_cut_weight.push_back(cut);
     if (moved == 0) break;
   }
+  p.blocks_decoded = row.blocks_decoded();
 }
 
 }  // namespace
@@ -233,11 +241,13 @@ Partition make_partition(const CompiledNetwork& net, std::size_t num_shards,
 }
 
 double partition_cut_weight(const CompiledNetwork& net, const Partition& p) {
+  CompiledNetwork::RowReader row(net);
   double cut = 0.0;
   for (NeuronId id = 0; id < net.num_neurons(); ++id) {
-    for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-      if (p.shard_of[net.syn_target(j)] != p.shard_of[id]) {
-        cut += 1.0 / static_cast<double>(net.syn_delay(j));
+    row.load(id);
+    for (std::size_t r = 0; r < row.size(); ++r) {
+      if (p.shard_of[row.targets()[r]] != p.shard_of[id]) {
+        cut += 1.0 / static_cast<double>(row.delays()[r]);
       }
     }
   }
@@ -246,11 +256,13 @@ double partition_cut_weight(const CompiledNetwork& net, const Partition& p) {
 
 Delay partition_min_cross_delay(const CompiledNetwork& net,
                                 const Partition& p) {
+  CompiledNetwork::RowReader row(net);
   Delay min_cross = 0;
   for (NeuronId id = 0; id < net.num_neurons(); ++id) {
-    for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-      if (p.shard_of[net.syn_target(j)] != p.shard_of[id]) {
-        const Delay d = net.syn_delay(j);
+    row.load(id);
+    for (std::size_t r = 0; r < row.size(); ++r) {
+      if (p.shard_of[row.targets()[r]] != p.shard_of[id]) {
+        const Delay d = row.delays()[r];
         min_cross = min_cross == 0 ? d : std::min(min_cross, d);
       }
     }
@@ -268,6 +280,9 @@ ShardSplit CompiledNetwork::shard_split(Partition partition) const {
   ShardSplit split;
   split.shards.resize(partition.num_shards);
   Delay min_cross = 0;
+  // Each shard's members ascend, so both passes below are ascending sweeps
+  // for the reader: every packed block is decoded at most once per pass.
+  RowReader row(*this);
 
   for (std::size_t s = 0; s < partition.num_shards; ++s) {
     const std::vector<NeuronId>& members = partition.shard_neurons[s];
@@ -282,14 +297,14 @@ ShardSplit CompiledNetwork::shard_split(Partition partition) const {
     // preserving the delay-sorted per-source synapse order inside it (the
     // cross family is then stably re-sorted by destination shard below).
     for (std::size_t k = 0; k < members.size(); ++k) {
-      const NeuronId id = members[k];
+      row.load(members[k]);
       std::size_t intra = 0;
-      for (std::size_t j = out_begin(id); j < out_end(id); ++j) {
-        if (partition.shard_of[syn_target(j)] == s) ++intra;
+      for (const NeuronId tgt : row.targets()) {
+        if (partition.shard_of[tgt] == s) ++intra;
       }
       shard.intra_offsets[k + 1] = shard.intra_offsets[k] + intra;
       shard.cross_offsets[k + 1] =
-          shard.cross_offsets[k] + (out_degree(id) - intra);
+          shard.cross_offsets[k] + (row.size() - intra);
     }
     shard.intra_target.resize(shard.intra_offsets[members.size()]);
     shard.intra_weight.resize(shard.intra_offsets[members.size()]);
@@ -300,23 +315,23 @@ ShardSplit CompiledNetwork::shard_split(Partition partition) const {
     shard.cross_delay.resize(shard.cross_offsets[members.size()]);
 
     for (std::size_t k = 0; k < members.size(); ++k) {
-      const NeuronId id = members[k];
+      row.load(members[k]);
       std::size_t wi = shard.intra_offsets[k];
       std::size_t wc = shard.cross_offsets[k];
-      for (std::size_t j = out_begin(id); j < out_end(id); ++j) {
-        const NeuronId tgt = syn_target(j);
+      for (std::size_t r = 0; r < row.size(); ++r) {
+        const NeuronId tgt = row.targets()[r];
+        const Delay d = row.delays()[r];
         const std::uint32_t ts = partition.shard_of[tgt];
         if (ts == s) {
           shard.intra_target[wi] = partition.local_index[tgt];
-          shard.intra_weight[wi] = syn_weight(j);
-          shard.intra_delay[wi] = syn_delay(j);
+          shard.intra_weight[wi] = row.weights()[r];
+          shard.intra_delay[wi] = d;
           ++wi;
         } else {
           shard.cross_shard[wc] = ts;
           shard.cross_local[wc] = partition.local_index[tgt];
-          shard.cross_weight[wc] = syn_weight(j);
-          shard.cross_delay[wc] = syn_delay(j);
-          const Delay d = syn_delay(j);
+          shard.cross_weight[wc] = row.weights()[r];
+          shard.cross_delay[wc] = d;
           min_cross = min_cross == 0 ? d : std::min(min_cross, d);
           ++wc;
           ++split.num_cross_synapses;
@@ -396,6 +411,7 @@ ShardSplit CompiledNetwork::shard_split(Partition partition) const {
     }
   }
   split.min_cross_delay = min_cross;
+  split.blocks_decoded = row.blocks_decoded();
   split.partition = std::move(partition);
   return split;
 }

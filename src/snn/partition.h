@@ -79,6 +79,12 @@ struct Partition {
   /// pass_min_cross_delay non-decreasing (0 ordered above every delay).
   std::vector<Delay> pass_min_cross_delay;
   std::vector<double> pass_cut_weight;
+  /// Packed target blocks the refinement's row sweeps decoded (0 on the
+  /// flat encodings and for kLpt, which reads no synapse). Each sweep reads
+  /// every row in ascending id order through one CompiledNetwork::RowReader,
+  /// so this is at most num_blocks × (2 + refinement passes) — tested, so a
+  /// regression to per-synapse decoding fails without a timer.
+  std::size_t blocks_decoded = 0;
 
   std::size_t num_neurons() const { return shard_of.size(); }
 };
@@ -155,6 +161,9 @@ struct ShardSplit {
   /// (shards are then fully independent).
   Delay min_cross_delay = 0;
   std::size_t num_cross_synapses = 0;
+  /// Packed target blocks the split's count and fill passes decoded (0 on
+  /// the flat encodings): at most one decode per block per pass per shard.
+  std::size_t blocks_decoded = 0;
 };
 
 }  // namespace sga::snn

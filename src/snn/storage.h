@@ -28,11 +28,12 @@
 // kNarrow and kWide keep the flat layouts available as oracles.
 //
 // The dispatch is a std::variant over SynStore/PackedSynStore
-// instantiations: consumers off the hot path go through CompiledNetwork's
-// generic accessors (one visit per call), while Simulator resolves the
-// variant ONCE at construction into a member-function-pointer to a
-// fully-typed kernel instantiation — no per-event branching in the inner
-// loop.
+// instantiations: single lookups off the hot path go through
+// CompiledNetwork's generic accessors (one visit per call), bulk
+// construction-side sweeps through CompiledNetwork::RowReader (one visit
+// per row), while Simulator resolves the variant ONCE at construction into
+// a member-function-pointer to a fully-typed kernel instantiation — no
+// per-event branching in the inner loop.
 #pragma once
 
 #include <algorithm>
@@ -111,9 +112,9 @@ struct SynStore {
   std::vector<SegT> seg_syn_begin;
   std::vector<SegT> seg_syn_end;
 
-  // Uniform per-element accessors shared with PackedSynStore, so generic
-  // consumers (CompiledNetwork's visit accessors, verify_invariants,
-  // shard_split) are encoding-agnostic. Hot kernels bypass these.
+  // Uniform per-element accessors shared with PackedSynStore, so
+  // CompiledNetwork's visit accessors are encoding-agnostic. Hot kernels
+  // and CompiledNetwork::RowReader read the columns directly.
   NeuronId target_at(std::size_t k) const {
     return static_cast<NeuronId>(targets[k]);
   }
@@ -292,8 +293,9 @@ struct PackedSynStore {
   }
 
   // Uniform accessors (see SynStore). target_at/delay_at are O(block) /
-  // O(log segments) — oracle and construction-side pricing; the simulator's
-  // packed kernels decode whole rows instead.
+  // O(log segments) per call — for single lookups and tests only. Bulk
+  // sweeps decode whole rows instead: the simulator's packed kernels, and
+  // CompiledNetwork::RowReader for construction-side consumers.
   NeuronId target_at(std::size_t k) const {
     std::uint32_t tmp[kPackedBlockSize];
     decode_block(k / kPackedBlockSize, tmp);

@@ -145,6 +145,112 @@ TEST(PackedStorage, AutoSelectsPackedOnlyAtScale) {
   EXPECT_LT(abig.csr_storage_bytes(), nbig.csr_storage_bytes());
 }
 
+// ---- The row reader -----------------------------------------------------
+
+/// Rows shaped for the reader's corner cases: an empty first row, an
+/// R-MAT-style hub longer than a block, short random rows that straddle
+/// block boundaries, periodic empty rows, and a synapse count that leaves
+/// the final block short. Some weights are not f32-exact, so the narrow and
+/// packed freezes keep a double weight column.
+Network reader_corner_net() {
+  Rng rng(0x5EAD);
+  Network net;
+  const std::size_t n = 48;
+  for (std::size_t i = 0; i < n; ++i) net.add_neuron(NeuronParams{});
+  const auto last = static_cast<std::int64_t>(n) - 1;
+  for (NeuronId i = 0; i < n; ++i) {
+    const std::int64_t deg = i == 0 || i % 7 == 3 ? 0
+                             : i == 1              ? 150
+                                                   : rng.uniform_int(1, 23);
+    for (std::int64_t e = 0; e < deg; ++e) {
+      SynWeight w = static_cast<SynWeight>(rng.uniform_int(-3, 3));
+      if (rng.bernoulli(0.1)) w += 0.1;
+      net.add_synapse(i, static_cast<NeuronId>(rng.uniform_int(0, last)), w,
+                      rng.uniform_int(1, 9));
+    }
+  }
+  if (net.num_synapses() % kPackedBlockSize == 0) net.add_synapse(5, 6, 1, 2);
+  return net;
+}
+
+/// The reader's current row against the per-synapse accessors.
+void expect_row_matches_accessors(const CompiledNetwork& net,
+                                  const CompiledNetwork::RowReader& row,
+                                  NeuronId id, const std::string& what) {
+  ASSERT_EQ(row.size(), net.out_degree(id)) << what << " neuron " << id;
+  for (std::size_t r = 0; r < row.size(); ++r) {
+    const std::size_t k = net.out_begin(id) + r;
+    EXPECT_EQ(row.targets()[r], net.syn_target(k)) << what << " synapse " << k;
+    EXPECT_EQ(row.weights()[r], net.syn_weight(k)) << what << " synapse " << k;
+    EXPECT_EQ(row.delays()[r], net.syn_delay(k)) << what << " synapse " << k;
+  }
+}
+
+TEST(RowReader, AgreesWithTheAccessorsOnEveryEncoding) {
+  const Network builder = reader_corner_net();
+  const CompiledNetwork wide(builder, StoragePolicy::kWide);
+  const std::size_t n = wide.num_neurons();
+  const std::size_t m = wide.num_synapses();
+  const std::size_t nb = (m + kPackedBlockSize - 1) / kPackedBlockSize;
+
+  // The corner cases the fixture exists for.
+  bool straddles = false;
+  bool empty_row = false;
+  for (NeuronId id = 0; id < n; ++id) {
+    empty_row |= wide.out_degree(id) == 0;
+    straddles |= wide.out_degree(id) > 0 &&
+                 wide.out_begin(id) / kPackedBlockSize !=
+                     (wide.out_end(id) - 1) / kPackedBlockSize;
+  }
+  ASSERT_TRUE(straddles);
+  ASSERT_TRUE(empty_row);
+  ASSERT_GT(wide.out_degree(1), 2 * kPackedBlockSize);
+  ASSERT_NE(m % kPackedBlockSize, 0u);
+
+  for (const StoragePolicy policy :
+       {StoragePolicy::kWide, StoragePolicy::kNarrow, StoragePolicy::kPacked}) {
+    const CompiledNetwork net(builder, policy);
+    const std::string what = encoding_name(net.storage_widths());
+    ASSERT_EQ(net.storage_widths().packed, policy == StoragePolicy::kPacked);
+
+    // Ascending sweep over every row: each block decoded exactly once.
+    CompiledNetwork::RowReader row(net);
+    for (NeuronId id = 0; id < n; ++id) {
+      row.load(id);
+      expect_row_matches_accessors(net, row, id, what + " ascending");
+      // Same values as the wide oracle, element for element.
+      for (std::size_t r = 0; r < row.size(); ++r) {
+        const std::size_t k = net.out_begin(id) + r;
+        EXPECT_EQ(row.targets()[r], wide.syn_target(k)) << what;
+        EXPECT_EQ(row.weights()[r], wide.syn_weight(k)) << what;
+        EXPECT_EQ(row.delays()[r], wide.syn_delay(k)) << what;
+      }
+    }
+    EXPECT_EQ(row.blocks_decoded(), net.storage_widths().packed ? nb : 0u)
+        << what;
+
+    // Skipping rows (one shard's ascending members), then jumping back to
+    // the start (the next shard or the next pass), then single lookups in
+    // descending order: values stay right and skipped sweeps never decode
+    // a block twice.
+    CompiledNetwork::RowReader skip(net);
+    for (NeuronId id = 1; id < n; id += 3) {
+      skip.load(id);
+      expect_row_matches_accessors(net, skip, id, what + " skipping");
+    }
+    EXPECT_LE(skip.blocks_decoded(), nb) << what;
+    for (NeuronId id = 0; id < n; id += 2) {
+      skip.load(id);
+      expect_row_matches_accessors(net, skip, id, what + " second sweep");
+    }
+    EXPECT_LE(skip.blocks_decoded(), 2 * nb) << what;
+    for (NeuronId id = static_cast<NeuronId>(n); id-- > 0;) {
+      skip.load(id);
+      expect_row_matches_accessors(net, skip, id, what + " descending");
+    }
+  }
+}
+
 // ---- The differential fuzz ----------------------------------------------
 
 TEST(PackedStorageFuzz, SerialEnginesAgreeEventForEvent) {

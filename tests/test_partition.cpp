@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -467,6 +468,161 @@ TEST(Partition, SingleNeuronWithSelfLoop) {
   EXPECT_EQ(split.num_cross_synapses, 0u);
   EXPECT_EQ(split.shards[0].intra_target.size(), 1u);
   EXPECT_EQ(split.shards[0].intra_target[0], 0u);
+}
+
+// ---- Encoding independence ------------------------------------------------
+// The partitioner and the split read the frozen store through
+// CompiledNetwork::RowReader; the storage encoding must not move a single
+// output array.
+
+void expect_partitions_eq(const snn::Partition& a, const snn::Partition& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.shard_of, b.shard_of) << what;
+  EXPECT_EQ(a.local_index, b.local_index) << what;
+  EXPECT_EQ(a.shard_neurons, b.shard_neurons) << what;
+  EXPECT_EQ(a.shard_load, b.shard_load) << what;
+  EXPECT_EQ(a.pass_min_cross_delay, b.pass_min_cross_delay) << what;
+  EXPECT_EQ(a.pass_cut_weight, b.pass_cut_weight) << what;
+}
+
+void expect_splits_eq(const snn::ShardSplit& a, const snn::ShardSplit& b,
+                      const std::string& what) {
+  expect_partitions_eq(a.partition, b.partition, what);
+  EXPECT_EQ(a.min_cross_delay, b.min_cross_delay) << what;
+  EXPECT_EQ(a.num_cross_synapses, b.num_cross_synapses) << what;
+  ASSERT_EQ(a.shards.size(), b.shards.size()) << what;
+  for (std::size_t s = 0; s < a.shards.size(); ++s) {
+    const snn::ShardCsr& x = a.shards[s];
+    const snn::ShardCsr& y = b.shards[s];
+    const std::string at = what + " shard " + std::to_string(s);
+    EXPECT_EQ(x.global_ids, y.global_ids) << at;
+    EXPECT_EQ(x.intra_offsets, y.intra_offsets) << at;
+    EXPECT_EQ(x.intra_target, y.intra_target) << at;
+    EXPECT_EQ(x.intra_weight, y.intra_weight) << at;
+    EXPECT_EQ(x.intra_delay, y.intra_delay) << at;
+    EXPECT_EQ(x.cross_offsets, y.cross_offsets) << at;
+    EXPECT_EQ(x.cross_shard, y.cross_shard) << at;
+    EXPECT_EQ(x.cross_local, y.cross_local) << at;
+    EXPECT_EQ(x.cross_weight, y.cross_weight) << at;
+    EXPECT_EQ(x.cross_delay, y.cross_delay) << at;
+    EXPECT_EQ(x.intra_seg_offsets, y.intra_seg_offsets) << at;
+    EXPECT_EQ(x.intra_seg_delay, y.intra_seg_delay) << at;
+    EXPECT_EQ(x.intra_seg_begin, y.intra_seg_begin) << at;
+    EXPECT_EQ(x.intra_seg_end, y.intra_seg_end) << at;
+    EXPECT_EQ(x.cross_seg_offsets, y.cross_seg_offsets) << at;
+    EXPECT_EQ(x.cross_seg_shard, y.cross_seg_shard) << at;
+    EXPECT_EQ(x.cross_seg_delay, y.cross_seg_delay) << at;
+    EXPECT_EQ(x.cross_seg_begin, y.cross_seg_begin) << at;
+    EXPECT_EQ(x.cross_seg_end, y.cross_seg_end) << at;
+  }
+}
+
+/// Local-ish random network large enough for many packed blocks, with some
+/// weights that are not f32-exact (a double weight column when narrow).
+snn::Network encoding_net() {
+  Rng rng(0xC0DE);
+  snn::Network net;
+  const std::int64_t n = 300;
+  for (std::int64_t i = 0; i < n; ++i) {
+    net.add_neuron(snn::NeuronParams{0, 1, 0.0});
+  }
+  for (std::int64_t e = 0; e < 10 * n; ++e) {
+    const std::int64_t from = rng.uniform_int(0, n - 1);
+    const std::int64_t to = rng.bernoulli(0.7)
+                                ? (from + rng.uniform_int(0, 12)) % n
+                                : rng.uniform_int(0, n - 1);
+    SynWeight w = static_cast<SynWeight>(rng.uniform_int(1, 4));
+    if (rng.bernoulli(0.1)) w += 0.1;
+    net.add_synapse(static_cast<NeuronId>(from), static_cast<NeuronId>(to), w,
+                    rng.uniform_int(1, 20));
+  }
+  return net;
+}
+
+TEST(PartitionEncoding, OutputsAreIdenticalAcrossWideNarrowAndPacked) {
+  const snn::Network builder = encoding_net();
+  const snn::CompiledNetwork wide(builder, snn::StoragePolicy::kWide);
+  const snn::CompiledNetwork narrow(builder, snn::StoragePolicy::kNarrow);
+  const snn::CompiledNetwork packed(builder, snn::StoragePolicy::kPacked);
+  ASSERT_FALSE(wide.storage_widths().narrow);
+  ASSERT_TRUE(narrow.storage_widths().narrow);
+  ASSERT_FALSE(narrow.storage_widths().packed);
+  ASSERT_TRUE(packed.storage_widths().packed);
+
+  for (const std::size_t S : {2u, 3u, 4u}) {
+    for (const snn::PartitionKind kind :
+         {snn::PartitionKind::kLpt, snn::PartitionKind::kCutRefined}) {
+      const snn::Partition pw = make_partition(wide, S, kind);
+      for (const snn::CompiledNetwork* net : {&narrow, &packed}) {
+        const std::string what =
+            std::string(encoding_name(net->storage_widths())) + " S=" +
+            std::to_string(S) +
+            (kind == snn::PartitionKind::kLpt ? " lpt" : " refined");
+        const snn::Partition p = make_partition(*net, S, kind);
+        expect_partitions_eq(pw, p, what);
+        EXPECT_EQ(partition_cut_weight(wide, pw),
+                  partition_cut_weight(*net, p))
+            << what;
+        EXPECT_EQ(partition_min_cross_delay(wide, pw),
+                  partition_min_cross_delay(*net, p))
+            << what;
+        expect_splits_eq(wide.shard_split(pw), net->shard_split(p), what);
+      }
+    }
+  }
+}
+
+TEST(PartitionEncoding, PackedSweepsDecodeEachBlockAtMostOncePerSweep) {
+  // Machine-independent guard for the reader path: a fall-back to the
+  // per-synapse accessors would decode each block up to 64 times per sweep
+  // (or bypass the reader's count altogether) and fail here.
+  const snn::CompiledNetwork flat(encoding_net(), snn::StoragePolicy::kNarrow);
+  const snn::CompiledNetwork packed(encoding_net(),
+                                    snn::StoragePolicy::kPacked);
+  const std::size_t nb =
+      (packed.num_synapses() + snn::kPackedBlockSize - 1) /
+      snn::kPackedBlockSize;
+  ASSERT_GE(nb, 2u);
+
+  for (const std::size_t S : {2u, 4u}) {
+    const snn::Partition p =
+        make_partition(packed, S, snn::PartitionKind::kCutRefined);
+    // Two setup sweeps (seed histogram, transpose) plus one per pass; each
+    // reads every row in ascending order, and every block holds synapses,
+    // so each sweep decodes every block exactly once.
+    const std::size_t sweeps = 2 + (p.pass_cut_weight.size() - 1);
+    EXPECT_EQ(p.blocks_decoded, nb * sweeps) << "S=" << S;
+
+    // The split: a count and a fill pass per shard, each an ascending sweep
+    // over that shard's members. Shards interleave over the blocks, so the
+    // exact count follows from the member lists: one decode each time a
+    // pass moves onto a block other than the one last decoded.
+    std::size_t expect_split = 0;
+    std::size_t cached = std::numeric_limits<std::size_t>::max();
+    for (const std::vector<NeuronId>& members : p.shard_neurons) {
+      for (int pass = 0; pass < 2; ++pass) {
+        for (const NeuronId id : members) {
+          for (std::size_t k = packed.out_begin(id); k < packed.out_end(id);
+               ++k) {
+            const std::size_t block = k / snn::kPackedBlockSize;
+            if (block != cached) ++expect_split;
+            cached = block;
+          }
+        }
+      }
+    }
+    const snn::ShardSplit split = packed.shard_split(p);
+    EXPECT_EQ(split.blocks_decoded, expect_split) << "S=" << S;
+    EXPECT_LE(split.blocks_decoded, 2 * S * nb) << "S=" << S;
+
+    EXPECT_EQ(make_partition(packed, S, snn::PartitionKind::kLpt)
+                  .blocks_decoded,
+              0u);
+    const snn::Partition pf =
+        make_partition(flat, S, snn::PartitionKind::kCutRefined);
+    EXPECT_EQ(pf.blocks_decoded, 0u);
+    EXPECT_EQ(flat.shard_split(pf).blocks_decoded, 0u);
+  }
 }
 
 TEST(Partition, RejectsMismatchedPartition) {
