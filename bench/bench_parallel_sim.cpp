@@ -22,8 +22,8 @@
 // machine's hardware_concurrency is recorded in the context: wall numbers
 // from different core counts are not comparable, and bench_compare
 // downgrades *_ns/*_per_sec checks to informational when the counts
-// differ. The s4 ablation trio (lpt / atomic / nosteal) isolates each
-// ISSUE-9 knob at S = 4.
+// differ. The s4 ablation pair (lpt / nosteal) isolates each knob of
+// ARCHITECTURE.md §1.10 at S = 4.
 //
 // Set SGA_REQUIRE_PARALLEL_WIN=1 (multi-core CI lane) to exit non-zero
 // unless the default s4 configuration beats the serial engine's wall
@@ -68,8 +68,8 @@ struct TimedRun {
 };
 
 /// Steady-state serial run: construction and injection outside the timer.
-TimedRun run_serial(snn::QueueKind kind) {
-  snn::Simulator sim(sssp_network(), kind);
+TimedRun run_serial() {
+  snn::Simulator sim(sssp_network());
   sim.inject_spike(0, 0);
   WallTimer w;
   TimedRun r;
@@ -101,7 +101,7 @@ snn::ParallelConfig make_config(std::size_t shards) {
 
 void BM_SsspSerialCalendar(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_serial(snn::QueueKind::kCalendar).stats.spikes);
+    benchmark::DoNotOptimize(run_serial().stats.spikes);
   }
 }
 BENCHMARK(BM_SsspSerialCalendar);
@@ -181,11 +181,11 @@ std::pair<std::uint64_t, std::uint64_t> emit_summary(obs::BenchReport& report) {
   // Warm-up: force the lazy network build + one full run outside every
   // timer, so the serial record does not pay construction and first-touch
   // page faults that the later records skip.
-  (void)run_serial(snn::QueueKind::kCalendar);
+  (void)run_serial();
 
   std::uint64_t serial_wall = 0;
   {
-    const TimedRun r = run_serial(snn::QueueKind::kCalendar);
+    const TimedRun r = run_serial();
     serial_wall = r.wall_ns;
     report.record("sssp/serial")
         .T(r.stats.end_time)
@@ -206,16 +206,11 @@ std::pair<std::uint64_t, std::uint64_t> emit_summary(obs::BenchReport& report) {
                     make_config(s), s == 4 ? &s4_wall : nullptr);
   }
 
-  // s4 ablation trio: flip exactly one knob off the default at a time.
+  // s4 ablation pair: flip exactly one knob off the default at a time.
   {
     snn::ParallelConfig pcfg = make_config(4);
     pcfg.partition = snn::PartitionKind::kLpt;
     record_parallel(report, "sssp/parallel/s4/lpt", pcfg);
-  }
-  {
-    snn::ParallelConfig pcfg = make_config(4);
-    pcfg.engine = snn::EngineKind::kSharedAtomic;
-    record_parallel(report, "sssp/parallel/s4/atomic", pcfg);
   }
   {
     snn::ParallelConfig pcfg = make_config(4);

@@ -8,7 +8,7 @@
 //     "bench":      "<name>",
 //     "git_sha":    "<short sha or 'unknown'>",
 //     "build_type": "<CMAKE_BUILD_TYPE>",
-//     "context":    { ... free-form run configuration (queue kind, ...) },
+//     "context":    { ... free-form run configuration (workload, ...) },
 //     "records":    [ {"name": "...", "T": .., "spikes": .., "wall_ns": ..,
 //                      "events": .., ...}, ... ],
 //     "tables":     [ {"id": "...", "title": "...", "columns": [...],
@@ -77,8 +77,8 @@ class BenchReport {
   /// "simulator" -> BENCH_simulator.json.
   explicit BenchReport(std::string name);
 
-  /// Free-form run configuration recorded once per file (queue kind,
-  /// workload sizes, thread counts...).
+  /// Free-form run configuration recorded once per file (workload sizes,
+  /// thread counts...).
   void context(const std::string& key, Json value);
 
   /// Build a named record; fill it through the returned builder (appended

@@ -63,7 +63,6 @@ struct MailBox {
 struct ParallelSimulator::Shard {
   const CompiledNetwork* net = nullptr;
   const ShardCsr* csr = nullptr;
-  std::uint32_t index = 0;
 
   /// SoA delivery bucket, mirroring the serial Simulator::Bucket: targets
   /// (local indices) and weights in lock-step, sources (global ids) only
@@ -84,7 +83,7 @@ struct ParallelSimulator::Shard {
     }
   };
 
-  // Calendar ring + sorted spill, mirroring the serial kCalendar queue
+  // Calendar ring + sorted spill, mirroring the serial calendar queue
   // (same invariants: ring events in (cursor_, cursor_ + W), spill beyond).
   std::vector<Bucket> ring_;
   std::vector<std::uint64_t> ring_occupied_;
@@ -150,31 +149,9 @@ struct ParallelSimulator::Shard {
   obs::Probe* probe_ = nullptr;  ///< per-shard probe (owned by parent)
   MailBox* out_ = nullptr;       ///< S outboxes, current parity
 
-  // ---- shared-atomic cross channel (EngineKind::kSharedAtomic) ---------
-  // Views into the parent's slot-major ring (parallel_sim.h). All writes
-  // are relaxed atomic RMWs; inter-thread ordering comes solely from the
-  // window barrier, and the ring sizing guarantees a slot being folded
-  // never has a concurrent writer (ARCHITECTURE.md §1.10).
-  std::atomic<SynWeight>* aw_ = nullptr;
-  std::atomic<std::uint32_t>* ac_ = nullptr;
-  std::atomic<std::uint64_t>* atouch_ = nullptr;
-  std::atomic<std::uint64_t>* aocc_ = nullptr;
-  const std::size_t* entry_base_ = nullptr;  ///< parent-owned, per shard
-  const std::size_t* word_base_ = nullptr;
-  std::size_t slot_entries_ = 0;
-  std::size_t slot_words_ = 0;
-  std::size_t occ_words_ = 0;
-  Time atom_mask_ = 0;
-  bool atomic_cross_ = false;  ///< set per run (off when recording causes)
-  /// Earliest arrival still parked in the shared ring (≥ the window end at
-  /// the last fold); read by the coordinator at the barrier.
-  Time shared_next_ = kNoTime;
-
-  void init(const CompiledNetwork& network, const ShardCsr& shard_csr,
-            std::uint32_t shard_index) {
+  void init(const CompiledNetwork& network, const ShardCsr& shard_csr) {
     net = &network;
     csr = &shard_csr;
-    index = shard_index;
     const std::size_t n = csr->num_neurons();
     v_.resize(n);
     last_update_.assign(n, 0);
@@ -364,14 +341,9 @@ struct ParallelSimulator::Shard {
     }
     // Cross-shard fan-out, segmented: one run per (dst-shard, delay) pair.
     // Runs are (shard, delay)-ordered, NOT globally delay-ascending, so a
-    // horizon hit skips the run but keeps scanning.
-    //
-    // kMailbox: one SoA slab appended to the destination's outbox — only
-    // this shard's worker writes those boxes during the window; the
-    // barrier hands them over. kSharedAtomic: relaxed fetch-ops into the
-    // destination's accumulation slots of the shared ring (weight sum +
-    // delivery count per target, plus touched/occupancy bitmaps); the
-    // destination folds them at its next window start.
+    // horizon hit skips the run but keeps scanning. Each run is one SoA
+    // slab appended to the destination's outbox — only this shard's worker
+    // writes those boxes during the window; the barrier hands them over.
     const NeuronId* clocal = csr->cross_local.data();
     const SynWeight* cwgt = csr->cross_weight.data();
     const std::size_t cse = csr->cross_seg_offsets[lid + 1];
@@ -385,34 +357,14 @@ struct ParallelSimulator::Shard {
       const Time at = t + d;
       const std::size_t b = csr->cross_seg_begin[s];
       const std::size_t e = csr->cross_seg_end[s];
-      if (atomic_cross_) {
-        const std::uint32_t ds = csr->cross_seg_shard[s];
-        const std::size_t slot = static_cast<std::size_t>(at & atom_mask_);
-        std::atomic<SynWeight>* w =
-            aw_ + slot * slot_entries_ + entry_base_[ds];
-        std::atomic<std::uint32_t>* c =
-            ac_ + slot * slot_entries_ + entry_base_[ds];
-        std::atomic<std::uint64_t>* tw =
-            atouch_ + slot * slot_words_ + word_base_[ds];
-        for (std::size_t j = b; j < e; ++j) {
-          const NeuronId local = clocal[j];
-          w[local].fetch_add(cwgt[j], std::memory_order_relaxed);
-          c[local].fetch_add(1, std::memory_order_relaxed);
-          tw[local >> 6].fetch_or(1ULL << (local & 63),
-                                  std::memory_order_relaxed);
-        }
-        aocc_[static_cast<std::size_t>(ds) * occ_words_ + (slot >> 6)]
-            .fetch_or(1ULL << (slot & 63), std::memory_order_relaxed);
-      } else {
-        MailBox& box = out_[csr->cross_seg_shard[s]];
-        const std::size_t base = box.targets.size();
-        box.targets.insert(box.targets.end(), clocal + b, clocal + e);
-        box.weights.insert(box.weights.end(), cwgt + b, cwgt + e);
-        if (record_causes_) {
-          box.sources.insert(box.sources.end(), e - b, gid);
-        }
-        box.slabs.push_back(MailBox::Slab{at, base, base + (e - b)});
+      MailBox& box = out_[csr->cross_seg_shard[s]];
+      const std::size_t base = box.targets.size();
+      box.targets.insert(box.targets.end(), clocal + b, clocal + e);
+      box.weights.insert(box.weights.end(), cwgt + b, cwgt + e);
+      if (record_causes_) {
+        box.sources.insert(box.sources.end(), e - b, gid);
       }
+      box.slabs.push_back(MailBox::Slab{at, base, base + (e - b)});
       ++bulk_appends_;
       if (at < out_min_time_) out_min_time_ = at;
     }
@@ -443,75 +395,6 @@ struct ParallelSimulator::Shard {
         }
       }
       box.clear();
-    }
-  }
-
-  /// Fold this shard's fully-published shared-atomic slots into the
-  /// private queue (kSharedAtomic counterpart of drain_inboxes).
-  ///
-  /// `base` is a known lower bound on every parked arrival (the window
-  /// start, or the global next-event floor at a pause), so a slot's time is
-  /// reconstructed uniquely as base + ((slot - base) mod W): the ring
-  /// sizing keeps all live arrivals inside [base, base + W). Slots at or
-  /// past `bound` (the window end) may still be receiving concurrent
-  /// writes from shards already executing the new window — they are left
-  /// in place and only contribute to shared_next_. Concurrently-added
-  /// occupancy bits this scan misses are covered by the writing shard's
-  /// out_min_time_ at the barrier, so the coordinator never loses an
-  /// arrival.
-  ///
-  /// Each folded slot entry becomes one delivery carrying the accumulated
-  /// weight sum plus count-1 zero-weight paddings to the same target:
-  /// potentials are exact for integer weights (sums are order-free), and
-  /// delivery counts, bucket occupancies, touched sets, and probe delivery
-  /// counts all match the mailbox engine entry-for-entry.
-  void drain_shared(Time base, Time bound) {
-    shared_next_ = kNoTime;
-    if (aw_ == nullptr) return;
-    const std::size_t nloc = csr->num_neurons();
-    const std::size_t my_words = (nloc + 63) >> 6;
-    const std::size_t occ_base =
-        static_cast<std::size_t>(index) * occ_words_;
-    for (std::size_t w = 0; w < occ_words_; ++w) {
-      std::uint64_t word = aocc_[occ_base + w].load(std::memory_order_relaxed);
-      while (word != 0) {
-        const std::size_t slot =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        const Time t = base + ((static_cast<Time>(slot) - base) & atom_mask_);
-        if (t >= bound) {
-          if (t < shared_next_) shared_next_ = t;
-          continue;
-        }
-        aocc_[occ_base + w].fetch_and(~(1ULL << (slot & 63)),
-                                      std::memory_order_relaxed);
-        std::atomic<std::uint64_t>* tw =
-            atouch_ + slot * slot_words_ + word_base_[index];
-        std::atomic<SynWeight>* sw =
-            aw_ + slot * slot_entries_ + entry_base_[index];
-        std::atomic<std::uint32_t>* sc =
-            ac_ + slot * slot_entries_ + entry_base_[index];
-        for (std::size_t wi = 0; wi < my_words; ++wi) {
-          std::uint64_t tword = tw[wi].load(std::memory_order_relaxed);
-          if (tword == 0) continue;
-          tw[wi].store(0, std::memory_order_relaxed);
-          while (tword != 0) {
-            const NeuronId local = static_cast<NeuronId>(
-                (wi << 6) + static_cast<std::size_t>(std::countr_zero(tword)));
-            tword &= tword - 1;
-            const SynWeight sum = sw[local].exchange(0, std::memory_order_relaxed);
-            const std::uint32_t cnt =
-                sc[local].exchange(0, std::memory_order_relaxed);
-            Bucket& bucket = bucket_for(t, cnt);
-            bucket.targets.push_back(local);
-            bucket.weights.push_back(sum);
-            for (std::uint32_t k = 1; k < cnt; ++k) {
-              bucket.targets.push_back(local);
-              bucket.weights.push_back(0);
-            }
-          }
-        }
-      }
     }
   }
 
@@ -653,8 +536,6 @@ struct ParallelSimulator::Shard {
     spike_log_.clear();
     touched_times_.clear();
     out_min_time_ = kNoTime;
-    shared_next_ = kNoTime;
-    atomic_cross_ = false;
     next_time_ = kNoTime;
     terminal_time_ = kNoTime;
     terminals_newly_fired_ = 0;
@@ -702,7 +583,6 @@ void ParallelSimulator::configure(ParallelConfig config) {
                                  : static_cast<std::size_t>(requested);
   threads_ = static_cast<unsigned>(std::min<std::size_t>(requested, shards));
   max_window_ = config.max_window;
-  engine_ = config.engine;
   stealing_ = config.work_stealing;
   steal_skew_ = config.steal_skew;
   split_ = net_->shard_split(make_partition(*net_, shards, config.partition));
@@ -720,59 +600,10 @@ void ParallelSimulator::init() {
   shards_.clear();
   for (std::size_t i = 0; i < s; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->init(*net_, split_.shards[i],
-                         static_cast<std::uint32_t>(i));
+    shards_.back()->init(*net_, split_.shards[i]);
   }
   mail_[0].assign(s * s, {});
   mail_[1].assign(s * s, {});
-
-  // Shared-atomic delivery ring. W ≥ window + max_delay + 1 gives the two
-  // invariants §1.10 relies on: (a) every live arrival lies within W slots
-  // of the window start, so slot→time reconstruction is unique, and (b) a
-  // slot folded this window (time < wend) can never alias a concurrent
-  // write (times ≥ wend, all < wend + max_delay ≤ fold time + W).
-  atom_slots_ = 0;
-  if (engine_ == EngineKind::kSharedAtomic && split_.num_cross_synapses > 0) {
-    const auto want = static_cast<std::uint64_t>(lookahead_) +
-                      static_cast<std::uint64_t>(net_->max_delay()) + 1;
-    const std::uint64_t w = std::bit_ceil(std::max<std::uint64_t>(want, 64));
-    const std::size_t n = net_->num_neurons();
-    SGA_REQUIRE(w * n <= (1ull << 28),
-                "kSharedAtomic: shared ring would need "
-                    << w * n << " accumulation slots (" << w
-                    << " time slots x " << n
-                    << " neurons); use kMailbox for this delay range");
-    atom_slots_ = static_cast<std::size_t>(w);
-    slot_entries_ = n;
-    occ_words_ = atom_slots_ / 64;
-    entry_base_.assign(s + 1, 0);
-    word_base_.assign(s + 1, 0);
-    for (std::size_t i = 0; i < s; ++i) {
-      const std::size_t local_n = split_.shards[i].num_neurons();
-      entry_base_[i + 1] = entry_base_[i] + local_n;
-      word_base_[i + 1] = word_base_[i] + ((local_n + 63) >> 6);
-    }
-    slot_words_ = word_base_[s];
-    atom_weight_ = std::vector<std::atomic<SynWeight>>(atom_slots_ * n);
-    atom_count_ =
-        std::vector<std::atomic<std::uint32_t>>(atom_slots_ * n);
-    atom_touched_ =
-        std::vector<std::atomic<std::uint64_t>>(atom_slots_ * slot_words_);
-    atom_occ_ = std::vector<std::atomic<std::uint64_t>>(s * occ_words_);
-    for (std::size_t i = 0; i < s; ++i) {
-      Shard& sh = *shards_[i];
-      sh.aw_ = atom_weight_.data();
-      sh.ac_ = atom_count_.data();
-      sh.atouch_ = atom_touched_.data();
-      sh.aocc_ = atom_occ_.data();
-      sh.entry_base_ = entry_base_.data();
-      sh.word_base_ = word_base_.data();
-      sh.slot_entries_ = slot_entries_;
-      sh.slot_words_ = slot_words_;
-      sh.occ_words_ = occ_words_;
-      sh.atom_mask_ = static_cast<Time>(atom_slots_ - 1);
-    }
-  }
 }
 
 void ParallelSimulator::inject_spike(NeuronId id, Time t) {
@@ -844,14 +675,12 @@ void ParallelSimulator::plan_next_window() try {
     return;
   }
 
-  // Global earliest pending event: shard queues, mail written in the
-  // window just finished (it is not in any queue until drained), and
-  // arrivals still parked in the shared-atomic ring.
+  // Global earliest pending event: shard queues and the mail written in
+  // the window just finished (it is not in any queue until drained).
   Time next = kNoTime;
   for (const auto& sh : shards_) {
     next = std::min(next, sh->next_time_);
     next = std::min(next, sh->out_min_time_);
-    next = std::min(next, sh->shared_next_);
   }
   if (next == kNoTime) {
     done_ = true;  // quiescence
@@ -869,13 +698,9 @@ void ParallelSimulator::plan_next_window() try {
     // the destination shards' queues now, single-threaded, so the COMPLETE
     // pending-event set lives in shard queues — that is the state
     // snapshot() enumerates and run() resumes from. Nothing is dropped.
-    // The shared-atomic ring folds the same way: `next` lower-bounds every
-    // parked arrival, and with all workers at the barrier there are no
-    // concurrent writers, so an unbounded drain empties the ring.
     const std::size_t nshards = shards_.size();
     for (std::size_t i = 0; i < nshards; ++i) {
       shards_[i]->drain_inboxes(mail_[parity_].data() + i, nshards, nshards);
-      if (use_atomic_cross_) shards_[i]->drain_shared(next, kNoTime);
       shards_[i]->out_min_time_ = kNoTime;
     }
     paused_ = true;
@@ -906,7 +731,7 @@ void ParallelSimulator::assign_shards() {
   }
   // Deterministic per-window work stealing: estimate each shard's coming
   // work as its private queue depth (cheap, and a pure function of the
-  // simulation state — mail/shared arrivals not yet folded are invisible,
+  // simulation state — mail not yet folded is invisible,
   // identically so on every run). If the static round-robin deal leaves
   // one worker with more than steal_skew × the best achievable (LPT)
   // maximum, adopt the LPT deal; a shard executing away from its static
@@ -964,7 +789,6 @@ void ParallelSimulator::advance_owned_shards(unsigned worker) {
     if (assign_[i] != worker) continue;
     // Inboxes for shard i under read parity: mail_[1 - parity_][src*s + i].
     shards_[i]->drain_inboxes(mail_[1 - parity_].data() + i, s, s);
-    if (use_atomic_cross_) shards_[i]->drain_shared(wstart_, wend_);
     shards_[i]->advance_window(wend_);
   }
 }
@@ -1053,12 +877,6 @@ SimStats ParallelSimulator::run(const SimConfig& config) {
     }
   }
 
-  // The shared-atomic ring cannot carry per-delivery provenance, so a
-  // cause-recording run transparently uses the mailbox channel instead
-  // (EngineKind::kSharedAtomic doc). The ring is empty at every run entry:
-  // fresh/reset()/restored simulators never touched it, and a pause folds
-  // it into the shard queues.
-  use_atomic_cross_ = atom_slots_ != 0 && !config.record_causes;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = *shards_[i];
     sh.record_causes_ = config.record_causes;
@@ -1066,8 +884,6 @@ SimStats ParallelSimulator::run(const SimConfig& config) {
     sh.watch_all_ = watch_all;
     sh.max_time_ = max_time_;
     sh.probe_ = probe_ != nullptr ? shard_probes_[i].get() : nullptr;
-    sh.atomic_cross_ = use_atomic_cross_;
-    sh.shared_next_ = kNoTime;
     sh.next_time_ = kNoTime;
     Time t = 0;
     // wend = 0: the pre-run peek must never move the cursor — the first
@@ -1216,53 +1032,13 @@ void ParallelSimulator::finalize_run(bool absorb_probes) {
   }
 }
 
-void ParallelSimulator::clear_shared_slots() {
-  // A run that stopped at a terminal or the horizon can leave undelivered
-  // arrivals parked in the shared ring (exactly as the mailbox engine
-  // leaves undrained mail); reset() discards both the same way. O(occupied
-  // slots) — single-threaded, plain loads/stores through the atomics.
-  if (atom_slots_ == 0) return;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::size_t local_n = split_.shards[s].num_neurons();
-    const std::size_t my_words = (local_n + 63) >> 6;
-    for (std::size_t w = 0; w < occ_words_; ++w) {
-      std::uint64_t word =
-          atom_occ_[s * occ_words_ + w].load(std::memory_order_relaxed);
-      if (word == 0) continue;
-      atom_occ_[s * occ_words_ + w].store(0, std::memory_order_relaxed);
-      while (word != 0) {
-        const std::size_t slot =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        for (std::size_t wi = 0; wi < my_words; ++wi) {
-          std::atomic<std::uint64_t>& tw =
-              atom_touched_[slot * slot_words_ + word_base_[s] + wi];
-          std::uint64_t tword = tw.load(std::memory_order_relaxed);
-          if (tword == 0) continue;
-          tw.store(0, std::memory_order_relaxed);
-          while (tword != 0) {
-            const std::size_t local =
-                (wi << 6) + static_cast<std::size_t>(std::countr_zero(tword));
-            tword &= tword - 1;
-            const std::size_t e = slot * slot_entries_ + entry_base_[s] + local;
-            atom_weight_[e].store(0, std::memory_order_relaxed);
-            atom_count_[e].store(0, std::memory_order_relaxed);
-          }
-        }
-      }
-    }
-  }
-}
-
 void ParallelSimulator::reset() {
   for (const auto& sh : shards_) sh->reset();
   for (int p = 0; p < 2; ++p) {
     for (auto& box : mail_[p]) box.clear();
   }
-  clear_shared_slots();
   steals_ = 0;
   skew_max_ = 0.0;
-  use_atomic_cross_ = false;
   shard_probes_.clear();
   log_.clear();
   stats_ = SimStats{};

@@ -36,17 +36,12 @@ void append_widened(std::vector<T>& dst, const U* b, const U* e) {
 
 }  // namespace
 
-Simulator::Simulator(const CompiledNetwork& net, QueueKind queue,
-                     FanoutKind fanout)
-    : net_(&net), queue_kind_(queue), fanout_kind_(fanout) {
+Simulator::Simulator(const CompiledNetwork& net) : net_(&net) {
   init_state();
 }
 
-Simulator::Simulator(const Network& net, QueueKind queue, FanoutKind fanout)
-    : owned_(net.compile()),
-      net_(&*owned_),
-      queue_kind_(queue),
-      fanout_kind_(fanout) {
+Simulator::Simulator(const Network& net)
+    : owned_(net.compile()), net_(&*owned_) {
   init_state();
 }
 
@@ -66,24 +61,19 @@ void Simulator::init_state() {
   is_terminal_.assign(n, 0);
   is_watched_.assign(n, 0);
   for (NeuronId i = 0; i < n; ++i) v_[i] = net_->v_reset(i);
-  if (queue_kind_ == QueueKind::kCalendar) {
-    const std::size_t w = ring_size_for(net_->max_delay());
-    ring_.resize(w);
-    ring_occupied_.assign(w / 64, 0);
-    ring_mask_ = static_cast<Time>(w - 1);
-    stats_.ring_buckets = static_cast<std::uint32_t>(w);
-  }
+  const std::size_t w = ring_size_for(net_->max_delay());
+  ring_.resize(w);
+  ring_occupied_.assign(w / 64, 0);
+  ring_mask_ = static_cast<Time>(w - 1);
+  stats_.ring_buckets = static_cast<std::uint32_t>(w);
   stats_.csr_bytes = net_->csr_storage_bytes();
   stats_.storage_encoding = encoding_code(net_->storage_widths());
   // Resolve the storage layout ONCE: fire() calls through fanout_fn_, so
   // the inner loop is a fully-typed instantiation with no per-event
-  // branching on either the width or the kernel kind.
+  // branching on the width.
   fanout_fn_ = std::visit(
-      [this](const auto& st) -> FanoutFn {
-        using Store = std::decay_t<decltype(st)>;
-        return fanout_kind_ == FanoutKind::kSegmented
-                   ? &Simulator::fanout_segmented<Store>
-                   : &Simulator::fanout_per_synapse<Store>;
+      [](const auto& st) -> FanoutFn {
+        return &Simulator::fanout_segmented<std::decay_t<decltype(st)>>;
       },
       net_->synapse_store());
 }
@@ -189,52 +179,6 @@ void Simulator::fanout_segmented(NeuronId id, Time t) {
   }
 }
 
-template <typename Store>
-void Simulator::fanout_per_synapse(NeuronId id, Time t) {
-  // Legacy per-synapse kernel (bench ablation + fuzzing oracle).
-  const Store& st = *std::get_if<Store>(&net_->synapse_store());
-  if constexpr (Store::kPackedLayout) {
-    // Per-synapse oracle over the packed layout: one whole-row decode,
-    // then single-element appends in flat order with the delay taken from
-    // the enclosing run — event-for-event identical to the flat oracle,
-    // including its per-synapse horizon `continue`.
-    const std::size_t rb = net_->out_begin(id);
-    if (net_->out_end(id) == rb) return;
-    decode_row(st, rb, net_->out_end(id));
-    const auto* wgt = st.weights.data();
-    const std::size_t se = net_->seg_end(id);
-    for (std::size_t s = net_->seg_begin(id); s < se; ++s) {
-      const auto d = static_cast<Delay>(st.seg_delays[s]);
-      const auto e = static_cast<std::size_t>(st.seg_syn_begin[s + 1]);
-      if (d > max_time_ - t) {
-        stats_.hit_time_limit = true;
-        continue;
-      }
-      for (auto k = static_cast<std::size_t>(st.seg_syn_begin[s]); k < e;
-           ++k) {
-        Bucket& bucket = bucket_for(t + d, 1);
-        bucket.targets.push_back(decode_scratch_[k - rb]);
-        bucket.weights.push_back(static_cast<SynWeight>(wgt[k]));
-        if (record_causes_) bucket.sources.push_back(id);
-      }
-    }
-    return;
-  } else {
-    const std::size_t ke = net_->out_end(id);
-    for (std::size_t k = net_->out_begin(id); k < ke; ++k) {
-      const auto d = static_cast<Delay>(st.delays[k]);
-      if (d > max_time_ - t) {
-        stats_.hit_time_limit = true;
-        continue;
-      }
-      Bucket& bucket = bucket_for(t + d, 1);
-      bucket.targets.push_back(static_cast<NeuronId>(st.targets[k]));
-      bucket.weights.push_back(static_cast<SynWeight>(st.weights[k]));
-      if (record_causes_) bucket.sources.push_back(id);
-    }
-  }
-}
-
 void Simulator::attach_probe(obs::Probe& probe) {
   probe.bind(net_->num_neurons());
   probe_ = &probe;
@@ -261,26 +205,24 @@ Simulator::Bucket& Simulator::bucket_for(Time t, std::uint64_t count) {
   if (pending_events_ > stats_.peak_queue_events) {
     stats_.peak_queue_events = pending_events_;
   }
-  if (queue_kind_ == QueueKind::kCalendar) {
-    // Strict upper bound: a slot equal to the one currently being drained
-    // (t ≡ cursor_ mod W would need t = cursor_ + W) can never be hit, so
-    // draining a bucket in place is safe.
-    if (t - cursor_ < static_cast<Time>(ring_.size())) {
-      const auto slot = static_cast<std::size_t>(t & ring_mask_);
-      std::uint64_t& word = ring_occupied_[slot >> 6];
-      const std::uint64_t bit = 1ULL << (slot & 63);
-      if ((word & bit) == 0) {
-        // First event in this slot since it was last drained: hand it
-        // pooled storage (drained buckets donate theirs, so only a
-        // cold-start activation allocates).
-        word |= bit;
-        activate(ring_[slot]);
-      }
-      ring_events_ += count;
-      return ring_[slot];
+  // Strict upper bound: a slot equal to the one currently being drained
+  // (t ≡ cursor_ mod W would need t = cursor_ + W) can never be hit, so
+  // draining a bucket in place is safe.
+  if (t - cursor_ < static_cast<Time>(ring_.size())) {
+    const auto slot = static_cast<std::size_t>(t & ring_mask_);
+    std::uint64_t& word = ring_occupied_[slot >> 6];
+    const std::uint64_t bit = 1ULL << (slot & 63);
+    if ((word & bit) == 0) {
+      // First event in this slot since it was last drained: hand it pooled
+      // storage (drained buckets donate theirs, so only a cold-start
+      // activation allocates).
+      word |= bit;
+      activate(ring_[slot]);
     }
-    stats_.overflow_spills += count;
+    ring_events_ += count;
+    return ring_[slot];
   }
+  stats_.overflow_spills += count;
   const auto [it, inserted] = spill_.try_emplace(t);
   if (inserted) activate(it->second);
   return it->second;
@@ -318,11 +260,6 @@ void Simulator::migrate_spill() {
 }
 
 bool Simulator::next_pending_time(Time* t) {
-  if (queue_kind_ == QueueKind::kMap) {
-    if (spill_.empty()) return false;
-    *t = spill_.begin()->first;
-    return true;
-  }
   migrate_spill();
   if (ring_events_ == 0) {
     if (spill_.empty()) return false;
@@ -410,13 +347,16 @@ SimStats Simulator::run(const SimConfig& config) {
                     config.record_spike_log == record_log_,
                 "resume: record_causes/record_spike_log must match the "
                 "paused run");
-    SGA_REQUIRE(config.max_time == max_time_,
+    SGA_REQUIRE(std::min(config.max_time, kNever) == max_time_,
                 "resume: max_time must match the paused run ("
                     << max_time_ << ")");
   } else {
     record_causes_ = config.record_causes;
     record_log_ = config.record_spike_log;
-    max_time_ = config.max_time;
+    // Clamped to kNever, as in the parallel engine: work past kNever is
+    // dropped at the horizon (hit_time_limit) instead of outrunning the
+    // default pause_time and stopping the run as a spurious pause.
+    max_time_ = std::min(config.max_time, kNever);
   }
   pause_time_ = config.pause_time;
   paused_ = false;
@@ -472,17 +412,11 @@ SimStats Simulator::run(const SimConfig& config) {
     }
     // Drain the bucket in place: with delay ≥ 1 and the ring's strict
     // window bound, nothing scheduled during fire() can land back in the
-    // bucket being iterated (map nodes are reference-stable anyway).
-    Bucket* bucket = nullptr;
-    auto map_it = spill_.end();
-    if (queue_kind_ == QueueKind::kCalendar) {
-      cursor_ = t;
-      bucket = &ring_[static_cast<std::size_t>(t & ring_mask_)];
-      ring_events_ -= bucket->size();
-    } else {
-      map_it = spill_.begin();
-      bucket = &map_it->second;
-    }
+    // bucket being iterated.
+    cursor_ = t;
+    const auto slot = static_cast<std::size_t>(t & ring_mask_);
+    Bucket* bucket = &ring_[slot];
+    ring_events_ -= bucket->size();
     pending_events_ -= bucket->size();
     if (bucket->size() > stats_.max_bucket_occupancy) {
       stats_.max_bucket_occupancy = bucket->size();
@@ -516,7 +450,8 @@ SimStats Simulator::run(const SimConfig& config) {
       if (record_causes_) {
         // Deterministic selection: largest weight, ties broken by smallest
         // source id. Independent of delivery order, so every engine
-        // (serial, map-queue, sharded-parallel) reports the same cause.
+        // (serial, sharded-parallel, the test-tree reference) reports the
+        // same cause.
         // sources is populated exactly when record_causes_ is set.
         const NeuronId source = bucket->sources[i];
         SynWeight& bw = accum_cause_weight_[target];
@@ -571,12 +506,7 @@ SimStats Simulator::run(const SimConfig& config) {
     // Release the drained bucket: its storage (capacity intact) goes to the
     // pool for the next activation, keeping the steady state allocation-free.
     recycle(*bucket);
-    if (queue_kind_ == QueueKind::kCalendar) {
-      const auto slot = static_cast<std::size_t>(t & ring_mask_);
-      ring_occupied_[slot >> 6] &= ~(1ULL << (slot & 63));
-    } else {
-      spill_.erase(map_it);
-    }
+    ring_occupied_[slot >> 6] &= ~(1ULL << (slot & 63));
 
     if (terminal_fired_) break;
   }
@@ -650,9 +580,7 @@ void Simulator::reset() {
   peak_live_buckets_ = 0;
   spike_log_.clear();
   stats_ = SimStats{};
-  stats_.ring_buckets = queue_kind_ == QueueKind::kCalendar
-                            ? static_cast<std::uint32_t>(ring_.size())
-                            : 0;
+  stats_.ring_buckets = static_cast<std::uint32_t>(ring_.size());
   stats_.csr_bytes = net_->csr_storage_bytes();
   stats_.storage_encoding = encoding_code(net_->storage_widths());
   record_causes_ = false;
@@ -717,22 +645,20 @@ void Simulator::build_image(SnapshotImage* img) const {
   // order is observable through FP summation and serial log order, so a
   // same-engine restore must reproduce it exactly).
   std::map<Time, const Bucket*> pending;
-  if (queue_kind_ == QueueKind::kCalendar) {
-    for (std::size_t w = 0; w < ring_occupied_.size(); ++w) {
-      std::uint64_t word = ring_occupied_[w];
-      while (word != 0) {
-        const std::size_t slot =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        // Slot residue → absolute time: ring events live in
-        // (cursor_, cursor_ + W), so the offset from the slot after the
-        // cursor is unique.
-        const std::size_t start =
-            static_cast<std::size_t>((cursor_ + 1) & ring_mask_);
-        const std::size_t offset =
-            (slot - start) & static_cast<std::size_t>(ring_mask_);
-        pending.emplace(cursor_ + 1 + static_cast<Time>(offset), &ring_[slot]);
-      }
+  for (std::size_t w = 0; w < ring_occupied_.size(); ++w) {
+    std::uint64_t word = ring_occupied_[w];
+    while (word != 0) {
+      const std::size_t slot =
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+      word &= word - 1;
+      // Slot residue → absolute time: ring events live in
+      // (cursor_, cursor_ + W), so the offset from the slot after the
+      // cursor is unique.
+      const std::size_t start =
+          static_cast<std::size_t>((cursor_ + 1) & ring_mask_);
+      const std::size_t offset =
+          (slot - start) & static_cast<std::size_t>(ring_mask_);
+      pending.emplace(cursor_ + 1 + static_cast<Time>(offset), &ring_[slot]);
     }
   }
   for (const auto& [t, bucket] : spill_) pending.emplace(t, &bucket);
@@ -810,9 +736,7 @@ void Simulator::apply_image(const SnapshotImage& img) {
   spike_log_ = img.log;
   stats_ = img.stats;
   // Engine-specific fields reflect the LIVE engine, not the source's.
-  stats_.ring_buckets = queue_kind_ == QueueKind::kCalendar
-                            ? static_cast<std::uint32_t>(ring_.size())
-                            : 0;
+  stats_.ring_buckets = static_cast<std::uint32_t>(ring_.size());
   stats_.csr_bytes = net_->csr_storage_bytes();
   stats_.storage_encoding = encoding_code(net_->storage_widths());
   ran_ = img.mid_run;

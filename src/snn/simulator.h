@@ -15,9 +15,10 @@
 // time is found with a per-slot occupancy bitmap (one countr_zero per 64
 // slots). Events beyond the window — far-future injections, or synapse
 // delays larger than the clamped ring — spill into a sorted std::map and
-// migrate into the ring as the window slides past them. The legacy
-// std::map<Time, Bucket> queue is retained behind QueueKind::kMap as the
-// agreement oracle for tests and the bench ablation.
+// migrate into the ring as the window slides past them. This is the only
+// queue and fire() has one fan-out kernel: the serial oracle the tests
+// compare them against (a nested-vector interpreter with std::map buckets)
+// lives in the test tree, in tests/support/reference_sim.h.
 //
 // Reuse: reset() rewinds the simulator for another run over the same
 // network in O(processed events), not O(neurons) — per-neuron state is
@@ -55,22 +56,9 @@ namespace sga::snn {
 
 struct SnapshotImage;  // snn/snapshot.h
 
-/// Pending-event queue implementation (DESIGN.md §4 ablation knob).
-enum class QueueKind : std::uint8_t {
-  kCalendar,  ///< ring-bucket calendar queue + sorted overflow spill (default)
-  kMap,       ///< legacy std::map<Time, Bucket>; kept as the agreement oracle
-};
-
-/// Fan-out kernel implementation (DESIGN.md §4 ablation knob). Both run on
-/// the same delay-sorted CSR and produce event-for-event identical runs;
-/// kPerSynapse is kept for the bench ablation and as a fuzzing oracle.
-enum class FanoutKind : std::uint8_t {
-  kSegmented,   ///< one queue lookup per delay run, bulk SoA append (default)
-  kPerSynapse,  ///< legacy per-synapse queue lookup + single-element append
-};
-
 struct SimConfig {
   /// Inclusive time horizon; events scheduled after it are not processed.
+  /// Values above kNever act as kNever.
   Time max_time = kNever;
   /// Computation terminates when any of these fires (Definition 3's u_t) —
   /// or, with terminate_on_all, when EVERY one of them has fired at least
@@ -111,27 +99,28 @@ struct SimStats {
   Time execution_time = kNever;
 
   // ---- Queue-level counters (surfaced by bench_simulator) --------------
-  /// Maximum number of pending events at any moment (identical across
-  /// queue kinds: it is a property of the event stream, not the queue).
+  /// Maximum number of pending events at any moment. A property of the
+  /// event stream, not of the queue: the test tree's reference interpreter
+  /// reports the same figure from its std::map queue.
   std::uint64_t peak_queue_events = 0;
-  /// Largest single-time-step bucket drained.
+  /// Largest single-time-step bucket drained (also an event-stream figure).
   std::uint64_t max_bucket_occupancy = 0;
   /// Events that missed the calendar ring's window and went to the sorted
-  /// overflow spill (always 0 for QueueKind::kMap).
+  /// overflow spill.
   std::uint64_t overflow_spills = 0;
-  /// Empty ring slots skipped while seeking the next event time (calendar
-  /// only; measures how sparse the workload is relative to the window).
+  /// Empty ring slots skipped while seeking the next event time (measures
+  /// how sparse the workload is relative to the window).
   std::uint64_t empty_bucket_scans = 0;
-  /// Calendar ring size in buckets (0 for QueueKind::kMap).
+  /// Calendar ring size in buckets.
   std::uint32_t ring_buckets = 0;
 
   // ---- Fan-out kernel counters (ARCHITECTURE.md §1.6) ------------------
-  /// Delay segments walked by the segmented fire() kernel (0 under
-  /// FanoutKind::kPerSynapse). Engine-specific, like the queue counters:
-  /// the sharded engine walks intra and cross runs separately.
+  /// Delay segments walked by the segmented fire() kernel. Engine-specific,
+  /// like the queue counters: the sharded engine walks intra and cross runs
+  /// separately.
   std::uint64_t fanout_segments = 0;
   /// Bulk delivery appends issued (fanout_segments minus horizon-dropped
-  /// runs; 0 under FanoutKind::kPerSynapse).
+  /// runs).
   std::uint64_t bulk_appends = 0;
   /// Bucket activations whose delivery storage came from the drained-bucket
   /// pool (hit) vs. had to start from an empty vector (miss). After the
@@ -166,16 +155,12 @@ class Simulator {
   /// keeps it alive for the simulator's lifetime. This is the form the
   /// algorithm compilers and the batch driver use — one CompiledNetwork,
   /// many (possibly concurrent) simulators.
-  explicit Simulator(const CompiledNetwork& net,
-                     QueueKind queue = QueueKind::kCalendar,
-                     FanoutKind fanout = FanoutKind::kSegmented);
+  explicit Simulator(const CompiledNetwork& net);
 
   /// Convenience for one-shot runs (tests, examples): compiles `net` and
   /// owns the frozen copy. Equivalent to compiling first and keeping the
   /// CompiledNetwork next to the simulator.
-  explicit Simulator(const Network& net,
-                     QueueKind queue = QueueKind::kCalendar,
-                     FanoutKind fanout = FanoutKind::kSegmented);
+  explicit Simulator(const Network& net);
 
   /// The frozen network this simulator executes.
   const CompiledNetwork& network() const { return *net_; }
@@ -203,8 +188,8 @@ class Simulator {
   /// counters — into the versioned binary snapshot format. Callable at any
   /// point outside run(): before a run, while paused (the checkpoint case),
   /// or after completion. The image uses global neuron ids and is engine-
-  /// agnostic: it restores into either queue kind, either fan-out kind, or
-  /// a ParallelSimulator over the same CompiledNetwork.
+  /// agnostic: it restores into another Simulator or a ParallelSimulator
+  /// over the same CompiledNetwork.
   std::vector<std::uint8_t> snapshot() const;
 
   /// Replace this simulator's state with a snapshot taken on the SAME
@@ -225,9 +210,6 @@ class Simulator {
   /// pending event time. Everything strictly below it has been processed;
   /// inject_spike() during a pause must target t ≥ resume_floor().
   Time resume_floor() const { return pause_floor_; }
-
-  QueueKind queue_kind() const { return queue_kind_; }
-  FanoutKind fanout_kind() const { return fanout_kind_; }
 
   /// Buckets currently resident in the drained-storage pool. Bounded across
   /// serve-many reuse: reset() trims the pool to the peak concurrent bucket
@@ -301,15 +283,13 @@ class Simulator {
   void fire(NeuronId id, Time t);
   Voltage decayed_potential(NeuronId id, Time t) const;
 
-  /// Fan-out kernels, one instantiation per storage layout (snn/storage.h):
+  /// Fan-out kernel, one instantiation per storage layout (snn/storage.h):
   /// init_state() resolves the network's SynStoreVariant ONCE into
   /// fanout_fn_, so fire()'s inner loop runs fully typed — no per-event
-  /// width or kind branching. Defined in simulator.cpp (the only TU that
-  /// instantiates them).
+  /// width branching. Defined in simulator.cpp (the only TU that
+  /// instantiates it).
   template <typename Store>
   void fanout_segmented(NeuronId id, Time t);
-  template <typename Store>
-  void fanout_per_synapse(NeuronId id, Time t);
   using FanoutFn = void (Simulator::*)(NeuronId, Time);
 
   /// Packed-layout helper: decode the target ids of flat range [b, e) (one
@@ -328,9 +308,9 @@ class Simulator {
     }
   }
 
-  /// Queue ops — each branches once on queue_kind_. `count` is the number
-  /// of events about to be appended to the returned bucket (bulk segment
-  /// appends update the occupancy stats once per run, not per synapse).
+  /// Queue ops. `count` is the number of events about to be appended to
+  /// the returned bucket (bulk segment appends update the occupancy stats
+  /// once per run, not per synapse).
   Bucket& bucket_for(Time t, std::uint64_t count);
   /// Earliest pending event time into *t; false when the queue is empty.
   bool next_pending_time(Time* t);
@@ -369,8 +349,6 @@ class Simulator {
 
   std::optional<CompiledNetwork> owned_;  ///< set by the Network constructor
   const CompiledNetwork* net_;
-  const QueueKind queue_kind_;
-  const FanoutKind fanout_kind_;
   FanoutFn fanout_fn_ = nullptr;  ///< typed kernel, bound in init_state()
   obs::Probe* probe_ = nullptr;  ///< cached flag for the disabled fast path
   bool ran_ = false;
@@ -385,7 +363,7 @@ class Simulator {
   Time ring_mask_ = 0;
   Time cursor_ = -1;                  ///< last processed (or jumped-to) time
   std::uint64_t ring_events_ = 0;     ///< events currently in the ring
-  std::map<Time, Bucket> spill_;      ///< overflow; the whole queue for kMap
+  std::map<Time, Bucket> spill_;      ///< overflow beyond the ring window
   std::uint64_t pending_events_ = 0;  ///< ring + spill, for the peak stat
   std::vector<Bucket> pool_;          ///< drained bucket storage, LIFO
   // Pool high-watermark trim support: buckets currently holding delivery

@@ -21,8 +21,8 @@
 #include "nga/sssp_event.h"
 #include "obs/metrics.h"
 #include "obs/probe.h"
+#include "reference_sim.h"
 #include "snn/network.h"
-#include "snn/reference_sim.h"
 #include "snn/simulator.h"
 
 namespace sga {
@@ -174,68 +174,111 @@ snn::Network random_snn(std::uint64_t seed) {
   return net;
 }
 
-class QueueFuzz : public ::testing::TestWithParam<int> {};
+/// The injection pattern every queue/kernel fuzz below shares: six random
+/// spikes in [0, 200] plus a far-future one at t = 450, which exercises the
+/// ring going empty mid-run (cursor jump) and the calendar's spill-and-
+/// migrate path together with the 64–300 step synapse delays.
+template <typename Sim>
+void inject_all(Sim& sim, std::uint64_t seed, std::size_t n) {
+  Rng rng(0xD41E + seed);
+  for (int i = 0; i < 6; ++i) {
+    sim.inject_spike(static_cast<NeuronId>(rng.uniform_int(
+                         0, static_cast<std::int64_t>(n) - 1)),
+                     rng.uniform_int(0, 200));
+  }
+  sim.inject_spike(0, 450);
+}
 
-TEST_P(QueueFuzz, BothQueuesAndReferenceInterpreterProduceIdenticalRuns) {
-  // Three executions of the same random network must agree spike-for-spike:
-  // the CSR-compiled simulator under both queue implementations, and the
-  // nested-vector ReferenceSimulator running straight off the mutable
-  // builder. The last one is what certifies the compile()/CSR packing
-  // preserved semantics, not just that the two queues agree with each other.
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  const snn::Network net = random_snn(seed);
-  const snn::CompiledNetwork compiled = net.compile();
-
-  auto inject_all = [&](auto& sim) {
-    Rng rng(0xD41E + seed);
-    for (int i = 0; i < 6; ++i) {
-      sim.inject_spike(
-          static_cast<NeuronId>(rng.uniform_int(
-              0, static_cast<std::int64_t>(net.num_neurons()) - 1)),
-          rng.uniform_int(0, 200));
-    }
-    // A far-future injection: exercises the ring going empty mid-run
-    // (cursor jump) and, in the calendar, the spill-and-migrate path.
-    sim.inject_spike(0, 450);
-  };
+snn::SimConfig fuzz_config(bool causes) {
   snn::SimConfig cfg;
   cfg.max_time = 500;
   cfg.record_spike_log = true;
+  cfg.record_causes = causes;
+  return cfg;
+}
 
-  auto drive = [&](snn::QueueKind kind) {
-    snn::Simulator sim(compiled, kind);
-    inject_all(sim);
-    const snn::SimStats stats = sim.run(cfg);
-    return std::tuple(stats, sim.spike_log(), sim.first_spikes());
-  };
+/// Everything one run exposes, from either the production Simulator or the
+/// test-tree ReferenceSimulator.
+struct RunTrace {
+  snn::SimStats stats;
+  std::vector<std::pair<Time, NeuronId>> log;
+  std::vector<Time> first;
+  std::vector<Time> last;
+  std::vector<std::uint32_t> counts;
+  std::vector<NeuronId> cause;
+  std::vector<Voltage> potential;
+};
 
-  const auto [cs, clog, cfirst] = drive(snn::QueueKind::kCalendar);
-  const auto [ms, mlog, mfirst] = drive(snn::QueueKind::kMap);
-  EXPECT_EQ(clog, mlog) << "seed " << seed;
-  EXPECT_EQ(cfirst, mfirst) << "seed " << seed;
-  EXPECT_EQ(cs.spikes, ms.spikes) << "seed " << seed;
-  EXPECT_EQ(cs.deliveries, ms.deliveries) << "seed " << seed;
-  EXPECT_EQ(cs.event_times, ms.event_times) << "seed " << seed;
-  EXPECT_EQ(cs.end_time, ms.end_time) << "seed " << seed;
-  EXPECT_EQ(cs.execution_time, ms.execution_time) << "seed " << seed;
-  EXPECT_EQ(cs.hit_time_limit, ms.hit_time_limit) << "seed " << seed;
-  EXPECT_EQ(cs.peak_queue_events, ms.peak_queue_events) << "seed " << seed;
-  EXPECT_EQ(cs.max_bucket_occupancy, ms.max_bucket_occupancy)
-      << "seed " << seed;
+template <typename Sim>
+RunTrace observe(Sim& sim, const snn::SimStats& stats, std::size_t n,
+                 bool causes) {
+  RunTrace r;
+  r.stats = stats;
+  r.log = sim.spike_log();
+  r.first = sim.first_spikes();
+  for (NeuronId id = 0; id < n; ++id) {
+    r.last.push_back(sim.last_spike(id));
+    r.counts.push_back(sim.spike_count(id));
+    if (causes) r.cause.push_back(sim.first_spike_cause(id));
+    r.potential.push_back(sim.potential(id));
+  }
+  return r;
+}
 
+RunTrace run_compiled(const snn::CompiledNetwork& net, std::uint64_t seed,
+                      const snn::SimConfig& cfg) {
+  snn::Simulator sim(net);
+  inject_all(sim, seed, net.num_neurons());
+  const snn::SimStats stats = sim.run(cfg);
+  return observe(sim, stats, net.num_neurons(), cfg.record_causes);
+}
+
+RunTrace run_reference(const snn::Network& net, std::uint64_t seed,
+                       const snn::SimConfig& cfg) {
   snn::ReferenceSimulator ref(net);
-  inject_all(ref);
-  const snn::SimStats rs = ref.run(cfg);
-  EXPECT_EQ(ref.spike_log(), clog) << "seed " << seed;
-  EXPECT_EQ(ref.first_spikes(), cfirst) << "seed " << seed;
-  // Semantic stats only: queue-level counters are a property of the
-  // production queues and stay 0 in the reference.
-  EXPECT_EQ(rs.spikes, cs.spikes) << "seed " << seed;
-  EXPECT_EQ(rs.deliveries, cs.deliveries) << "seed " << seed;
-  EXPECT_EQ(rs.event_times, cs.event_times) << "seed " << seed;
-  EXPECT_EQ(rs.end_time, cs.end_time) << "seed " << seed;
-  EXPECT_EQ(rs.execution_time, cs.execution_time) << "seed " << seed;
-  EXPECT_EQ(rs.hit_time_limit, cs.hit_time_limit) << "seed " << seed;
+  inject_all(ref, seed, net.num_neurons());
+  const snn::SimStats stats = ref.run(cfg);
+  return observe(ref, stats, net.num_neurons(), cfg.record_causes);
+}
+
+/// Event-for-event agreement: the exact (unsorted) spike log, every
+/// per-neuron table, the semantic stats, and the two event-stream
+/// counters, which are properties of the stream rather than of a queue.
+void expect_same_run(const RunTrace& a, const RunTrace& b, const char* what,
+                     std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << what << " seed " << seed);
+  EXPECT_EQ(a.log, b.log);
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(a.last, b.last);
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.cause, b.cause);
+  EXPECT_EQ(a.potential, b.potential);
+  EXPECT_EQ(a.stats.spikes, b.stats.spikes);
+  EXPECT_EQ(a.stats.deliveries, b.stats.deliveries);
+  EXPECT_EQ(a.stats.event_times, b.stats.event_times);
+  EXPECT_EQ(a.stats.end_time, b.stats.end_time);
+  EXPECT_EQ(a.stats.execution_time, b.stats.execution_time);
+  EXPECT_EQ(a.stats.hit_terminal, b.stats.hit_terminal);
+  EXPECT_EQ(a.stats.hit_time_limit, b.stats.hit_time_limit);
+  EXPECT_EQ(a.stats.peak_queue_events, b.stats.peak_queue_events);
+  EXPECT_EQ(a.stats.max_bucket_occupancy, b.stats.max_bucket_occupancy);
+}
+
+class QueueFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(QueueFuzz, BothQueuesAndReferenceInterpreterProduceIdenticalRuns) {
+  // Both queues — the production calendar ring with its sorted spill, and
+  // the std::map buckets of the nested-vector ReferenceSimulator running
+  // straight off the mutable builder — must agree spike for spike. The
+  // reference is what certifies the compile()/CSR packing and the calendar
+  // queue preserved semantics. Delays of 64–300 steps and the injection at
+  // t = 450 drive events through the spill and its migration.
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const snn::Network net = random_snn(seed);
+  const snn::SimConfig cfg = fuzz_config(false);
+  const RunTrace cal = run_compiled(net.compile(), seed, cfg);
+  expect_same_run(run_reference(net, seed, cfg), cal, "calendar vs reference",
+                  seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueFuzz, ::testing::Range(0, 30));
@@ -245,125 +288,63 @@ class FanoutFuzz : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 TEST_P(FanoutFuzz, SegmentedKernelMatchesOraclesWithAndWithoutCauses) {
   // The delay-segmented fan-out kernel (ARCHITECTURE.md §1.6) bulk-appends
   // one SoA block per delay run instead of pushing per synapse. This fuzz
-  // certifies the rewrite is event-for-event invisible: on random networks
-  // the segmented kernel must agree with the kMap oracle, with the retained
-  // per-synapse kernel (FanoutKind::kPerSynapse), and with the nested-vector
-  // ReferenceSimulator — with record_causes both on and off, since the
+  // certifies the rewrite is event-for-event invisible against two
+  // oracles: the per-synapse ReferenceSimulator (one queue push per
+  // synapse, insertion order), with record_causes both on and off — the
   // optional SoA `sources` array only exists in the on case and the cause
-  // tie-break reads it entry-by-entry.
+  // tie-break reads it entry by entry — and a segment count derived
+  // independently from the reference's spike log.
   const auto seed = static_cast<std::uint64_t>(std::get<0>(GetParam()));
   const bool causes = std::get<1>(GetParam());
   const snn::Network net = random_snn(seed);
-  const snn::CompiledNetwork compiled = net.compile();
-  const auto n = static_cast<NeuronId>(net.num_neurons());
+  const snn::SimConfig cfg = fuzz_config(causes);
+  const RunTrace seg = run_compiled(net.compile(), seed, cfg);
+  const RunTrace ref = run_reference(net, seed, cfg);
+  expect_same_run(ref, seg, "segmented vs reference", seed);
 
-  auto inject_all = [&](auto& sim) {
-    Rng rng(0xD41E + seed);
-    for (int i = 0; i < 6; ++i) {
-      sim.inject_spike(
-          static_cast<NeuronId>(rng.uniform_int(
-              0, static_cast<std::int64_t>(net.num_neurons()) - 1)),
-          rng.uniform_int(0, 200));
+  // Kernel counters: each fire walks its row's distinct delays in
+  // ascending order, appending every run inside the horizon and stopping
+  // at (after counting) the first run past it.
+  std::uint64_t want_segments = 0;
+  std::uint64_t want_appends = 0;
+  for (const auto& [t, id] : ref.log) {
+    std::vector<Delay> delays;
+    for (const snn::Synapse& syn : net.out_synapses(id)) {
+      delays.push_back(syn.delay);
     }
-    sim.inject_spike(0, 450);
-  };
-  snn::SimConfig cfg;
-  cfg.max_time = 500;
-  cfg.record_spike_log = true;
-  cfg.record_causes = causes;
-
-  struct Run {
-    snn::SimStats stats;
-    std::vector<std::pair<Time, NeuronId>> log;
-    std::vector<Time> first;
-    std::vector<NeuronId> cause;
-    std::vector<Voltage> potential;
-  };
-  auto drive = [&](snn::QueueKind kind, snn::FanoutKind fanout) {
-    snn::Simulator sim(compiled, kind, fanout);
-    inject_all(sim);
-    Run r;
-    r.stats = sim.run(cfg);
-    r.log = sim.spike_log();
-    r.first = sim.first_spikes();
-    for (NeuronId id = 0; id < n; ++id) {
-      if (causes) r.cause.push_back(sim.first_spike_cause(id));
-      r.potential.push_back(sim.potential(id));
+    std::sort(delays.begin(), delays.end());
+    delays.erase(std::unique(delays.begin(), delays.end()), delays.end());
+    for (const Delay d : delays) {
+      ++want_segments;
+      if (d > cfg.max_time - t) break;
+      ++want_appends;
     }
-    return r;
-  };
-  auto expect_same = [&](const Run& a, const Run& b, const char* what) {
-    EXPECT_EQ(a.log, b.log) << what << " seed " << seed;
-    EXPECT_EQ(a.first, b.first) << what << " seed " << seed;
-    EXPECT_EQ(a.cause, b.cause) << what << " seed " << seed;
-    EXPECT_EQ(a.potential, b.potential) << what << " seed " << seed;
-    EXPECT_EQ(a.stats.spikes, b.stats.spikes) << what << " seed " << seed;
-    EXPECT_EQ(a.stats.deliveries, b.stats.deliveries)
-        << what << " seed " << seed;
-    EXPECT_EQ(a.stats.event_times, b.stats.event_times)
-        << what << " seed " << seed;
-    EXPECT_EQ(a.stats.end_time, b.stats.end_time) << what << " seed " << seed;
-    EXPECT_EQ(a.stats.execution_time, b.stats.execution_time)
-        << what << " seed " << seed;
-    EXPECT_EQ(a.stats.hit_time_limit, b.stats.hit_time_limit)
-        << what << " seed " << seed;
-  };
-
-  const Run seg = drive(snn::QueueKind::kCalendar, snn::FanoutKind::kSegmented);
-  const Run seg_map = drive(snn::QueueKind::kMap, snn::FanoutKind::kSegmented);
-  const Run per_syn =
-      drive(snn::QueueKind::kCalendar, snn::FanoutKind::kPerSynapse);
-  expect_same(seg, seg_map, "segmented calendar vs map");
-  expect_same(seg, per_syn, "segmented vs per-synapse");
-
-  // Kernel counters: both segmented runs walk the same segments and issue
-  // the same bulk appends regardless of queue kind; the per-synapse kernel
-  // never touches them. Queue-level peaks must also survive bulk appends.
-  EXPECT_EQ(seg.stats.fanout_segments, seg_map.stats.fanout_segments)
-      << "seed " << seed;
-  EXPECT_EQ(seg.stats.bulk_appends, seg_map.stats.bulk_appends)
-      << "seed " << seed;
-  EXPECT_EQ(per_syn.stats.fanout_segments, 0u) << "seed " << seed;
-  EXPECT_EQ(per_syn.stats.bulk_appends, 0u) << "seed " << seed;
-  EXPECT_EQ(seg.stats.peak_queue_events, per_syn.stats.peak_queue_events)
-      << "seed " << seed;
-  EXPECT_EQ(seg.stats.max_bucket_occupancy,
-            per_syn.stats.max_bucket_occupancy)
-      << "seed " << seed;
-
-  // The reference interpreter refuses record_causes (it never grew the
-  // feature); cause recording must not perturb the run, so its causes-off
-  // trace is still the right oracle for both cause modes.
-  snn::SimConfig ref_cfg = cfg;
-  ref_cfg.record_causes = false;
-  snn::ReferenceSimulator ref(net);
-  inject_all(ref);
-  const snn::SimStats rs = ref.run(ref_cfg);
-  EXPECT_EQ(ref.spike_log(), seg.log) << "seed " << seed;
-  EXPECT_EQ(ref.first_spikes(), seg.first) << "seed " << seed;
-  EXPECT_EQ(rs.spikes, seg.stats.spikes) << "seed " << seed;
-  EXPECT_EQ(rs.deliveries, seg.stats.deliveries) << "seed " << seed;
-  EXPECT_EQ(rs.event_times, seg.stats.event_times) << "seed " << seed;
-  EXPECT_EQ(rs.end_time, seg.stats.end_time) << "seed " << seed;
-  EXPECT_EQ(rs.execution_time, seg.stats.execution_time) << "seed " << seed;
-  EXPECT_EQ(rs.hit_time_limit, seg.stats.hit_time_limit) << "seed " << seed;
+  }
+  EXPECT_EQ(seg.stats.fanout_segments, want_segments) << "seed " << seed;
+  EXPECT_EQ(seg.stats.bulk_appends, want_appends) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedsXCauses, FanoutFuzz,
                          ::testing::Combine(::testing::Range(0, 20),
                                             ::testing::Bool()));
 
+/// StorageFuzz's second axis. A 1-byte enum rather than a bool, so the
+/// instance names keep the `(seed, 1-byte object <0x>)` form they had when
+/// this axis selected the fan-out kernel.
+enum class CauseRecording : std::uint8_t { kOff, kOn };
+
 class StorageFuzz
-    : public ::testing::TestWithParam<std::tuple<int, snn::FanoutKind>> {};
+    : public ::testing::TestWithParam<std::tuple<int, CauseRecording>> {};
 
 TEST_P(StorageFuzz, NarrowStorageIsEventForEventInvisible) {
   // Freeze-time width narrowing (ARCHITECTURE.md §1.8) must be a pure
   // storage transformation: the same network frozen wide (the oracle
-  // layout) and narrow (kAuto) must produce identical runs under both
-  // queue kinds and the given fan-out kernel, and both must agree with the
-  // nested-vector ReferenceSimulator that never saw a CSR at all.
+  // layout) and narrow (kAuto) must produce identical runs, and both must
+  // agree with the nested-vector ReferenceSimulator that never saw a CSR at
+  // all — with cause recording off (the default production path) and on
+  // (the SoA `sources` column is populated).
   const auto seed = static_cast<std::uint64_t>(std::get<0>(GetParam()));
-  const snn::FanoutKind fanout = std::get<1>(GetParam());
+  const bool causes = std::get<1>(GetParam()) == CauseRecording::kOn;
   const snn::Network net = random_snn(seed);
   const snn::CompiledNetwork wide = net.compile(snn::StoragePolicy::kWide);
   const snn::CompiledNetwork narrow = net.compile(snn::StoragePolicy::kAuto);
@@ -384,65 +365,24 @@ TEST_P(StorageFuzz, NarrowStorageIsEventForEventInvisible) {
     ASSERT_EQ(narrow.syn_delay(k), wide.syn_delay(k)) << "syn " << k;
   }
 
-  auto inject_all = [&](auto& sim) {
-    Rng rng(0xD41E + seed);
-    for (int i = 0; i < 6; ++i) {
-      sim.inject_spike(
-          static_cast<NeuronId>(rng.uniform_int(
-              0, static_cast<std::int64_t>(net.num_neurons()) - 1)),
-          rng.uniform_int(0, 200));
-    }
-    sim.inject_spike(0, 450);
-  };
-  snn::SimConfig cfg;
-  cfg.max_time = 500;
-  cfg.record_spike_log = true;
-  cfg.record_causes = true;
+  const snn::SimConfig cfg = fuzz_config(causes);
+  const RunTrace w = run_compiled(wide, seed, cfg);
+  const RunTrace nr = run_compiled(narrow, seed, cfg);
+  expect_same_run(w, nr, "narrow vs wide", seed);
+  EXPECT_EQ(nr.stats.fanout_segments, w.stats.fanout_segments)
+      << "seed " << seed;
+  EXPECT_EQ(nr.stats.bulk_appends, w.stats.bulk_appends) << "seed " << seed;
 
-  auto drive = [&](const snn::CompiledNetwork& compiled,
-                   snn::QueueKind kind) {
-    snn::Simulator sim(compiled, kind, fanout);
-    inject_all(sim);
-    const snn::SimStats stats = sim.run(cfg);
-    std::vector<NeuronId> causes;
-    for (NeuronId id = 0; id < net.num_neurons(); ++id) {
-      causes.push_back(sim.first_spike_cause(id));
-    }
-    return std::tuple(stats, sim.spike_log(), sim.first_spikes(), causes);
-  };
-
-  for (const auto queue : {snn::QueueKind::kCalendar, snn::QueueKind::kMap}) {
-    const auto [ws, wlog, wfirst, wcause] = drive(wide, queue);
-    const auto [ns, nlog, nfirst, ncause] = drive(narrow, queue);
-    EXPECT_EQ(nlog, wlog) << "seed " << seed;
-    EXPECT_EQ(nfirst, wfirst) << "seed " << seed;
-    EXPECT_EQ(ncause, wcause) << "seed " << seed;
-    EXPECT_EQ(ns.spikes, ws.spikes) << "seed " << seed;
-    EXPECT_EQ(ns.deliveries, ws.deliveries) << "seed " << seed;
-    EXPECT_EQ(ns.event_times, ws.event_times) << "seed " << seed;
-    EXPECT_EQ(ns.end_time, ws.end_time) << "seed " << seed;
-    EXPECT_EQ(ns.execution_time, ws.execution_time) << "seed " << seed;
-    EXPECT_EQ(ns.hit_time_limit, ws.hit_time_limit) << "seed " << seed;
-    EXPECT_EQ(ns.fanout_segments, ws.fanout_segments) << "seed " << seed;
-    EXPECT_EQ(ns.bulk_appends, ws.bulk_appends) << "seed " << seed;
-    EXPECT_EQ(ns.peak_queue_events, ws.peak_queue_events) << "seed " << seed;
-
-    // Cross-check against the pre-CSR execution model as well.
-    snn::SimConfig ref_cfg = cfg;
-    ref_cfg.record_causes = false;
-    snn::ReferenceSimulator ref(net);
-    inject_all(ref);
-    ref.run(ref_cfg);
-    EXPECT_EQ(ref.spike_log(), nlog) << "seed " << seed;
-    EXPECT_EQ(ref.first_spikes(), nfirst) << "seed " << seed;
-  }
+  // Cross-check against the pre-CSR execution model as well.
+  expect_same_run(run_reference(net, seed, cfg), nr, "narrow vs reference",
+                  seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsXFanout, StorageFuzz,
     ::testing::Combine(::testing::Range(0, 14),
-                       ::testing::Values(snn::FanoutKind::kSegmented,
-                                         snn::FanoutKind::kPerSynapse)));
+                       ::testing::Values(CauseRecording::kOff,
+                                         CauseRecording::kOn)));
 
 TEST(StorageFuzzRegression, InexactWeightKeepsDoublePayload) {
   // One weight that does not survive a double→float round trip must keep
@@ -469,25 +409,12 @@ class ProbeFuzz : public ::testing::TestWithParam<int> {};
 TEST_P(ProbeFuzz, ProbesObserveWithoutPerturbing) {
   // The obs::Probe overhead contract (docs/OBSERVABILITY.md): attaching a
   // probe must not change ANY simulation observable, and what the probe
-  // records must agree with the simulator's own log — across both queue
-  // kinds and with the nested-vector reference interpreter.
+  // records must agree with the simulator's own log and with the
+  // nested-vector reference interpreter.
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const snn::Network net = random_snn(seed);
   const snn::CompiledNetwork compiled = net.compile();
-
-  auto inject_all = [&](auto& sim) {
-    Rng rng(0xD41E + seed);
-    for (int i = 0; i < 6; ++i) {
-      sim.inject_spike(
-          static_cast<NeuronId>(rng.uniform_int(
-              0, static_cast<std::int64_t>(net.num_neurons()) - 1)),
-          rng.uniform_int(0, 200));
-    }
-    sim.inject_spike(0, 450);
-  };
-  snn::SimConfig cfg;
-  cfg.max_time = 500;
-  cfg.record_spike_log = true;
+  const snn::SimConfig cfg = fuzz_config(false);
 
   obs::ProbeOptions po;
   po.trace_spikes = true;
@@ -495,20 +422,18 @@ TEST_P(ProbeFuzz, ProbesObserveWithoutPerturbing) {
   po.count_deliveries = true;
   po.sample_potentials = {0, static_cast<NeuronId>(net.num_neurons() - 1)};
 
-  auto drive = [&](snn::QueueKind kind, obs::Probe* probe) {
-    snn::Simulator sim(compiled, kind);
+  auto drive = [&](obs::Probe* probe) {
+    snn::Simulator sim(compiled);
     if (probe != nullptr) sim.attach_probe(*probe);
-    inject_all(sim);
+    inject_all(sim, seed, net.num_neurons());
     const snn::SimStats stats = sim.run(cfg);
     return std::tuple(stats, sim.spike_log());
   };
 
   // Instrumented vs uninstrumented: identical run, event for event.
   obs::Probe cal_probe(po);
-  const auto [bare_stats, bare_log] =
-      drive(snn::QueueKind::kCalendar, nullptr);
-  const auto [cal_stats, cal_log] =
-      drive(snn::QueueKind::kCalendar, &cal_probe);
+  const auto [bare_stats, bare_log] = drive(nullptr);
+  const auto [cal_stats, cal_log] = drive(&cal_probe);
   EXPECT_EQ(cal_log, bare_log) << "seed " << seed;
   EXPECT_EQ(cal_stats.spikes, bare_stats.spikes) << "seed " << seed;
   EXPECT_EQ(cal_stats.deliveries, bare_stats.deliveries) << "seed " << seed;
@@ -524,26 +449,15 @@ TEST_P(ProbeFuzz, ProbesObserveWithoutPerturbing) {
   EXPECT_EQ(cal_probe.total_deliveries(), cal_stats.deliveries)
       << "seed " << seed;
 
-  // Same observations under the map queue.
-  obs::Probe map_probe(po);
-  drive(snn::QueueKind::kMap, &map_probe);
-  EXPECT_EQ(map_probe.spike_trace(), cal_probe.spike_trace())
-      << "seed " << seed;
-  EXPECT_EQ(map_probe.fire_counts(), cal_probe.fire_counts())
-      << "seed " << seed;
-  EXPECT_EQ(map_probe.delivery_counts(), cal_probe.delivery_counts())
-      << "seed " << seed;
-  EXPECT_EQ(map_probe.potential_samples(), cal_probe.potential_samples())
-      << "seed " << seed;
-
-  // Per-neuron fire counts equal the ReferenceSimulator's spike log counted
-  // by hand — the probe agrees with the pre-CSR execution model too.
-  snn::ReferenceSimulator ref(net);
-  inject_all(ref);
-  ref.run(cfg);
-  std::vector<std::uint64_t> ref_fires(net.num_neurons(), 0);
-  for (const auto& [t, id] : ref.spike_log()) ++ref_fires[id];
+  // The probe also records what the pre-CSR execution model does: the
+  // reference's exact spike log, its per-neuron spike counts (summed to
+  // the fire total) and its delivery total.
+  const RunTrace ref = run_reference(net, seed, cfg);
+  EXPECT_EQ(cal_probe.spike_trace(), ref.log) << "seed " << seed;
+  std::vector<std::uint64_t> ref_fires(ref.counts.begin(), ref.counts.end());
   EXPECT_EQ(cal_probe.fire_counts(), ref_fires) << "seed " << seed;
+  EXPECT_EQ(cal_probe.total_deliveries(), ref.stats.deliveries)
+      << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProbeFuzz, ::testing::Range(0, 12));

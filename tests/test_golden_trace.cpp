@@ -1,6 +1,6 @@
 // Golden-trace determinism: one small fixed network, fixed input, and the
-// exact spike trace checked in as a literal. Every engine — serial
-// calendar queue, serial map queue, the reference interpreter, and the
+// exact spike trace checked in as a literal. Every engine — the serial
+// calendar-queue simulator, the test-tree reference interpreter, and the
 // sharded parallel simulator at several shard/thread counts — must
 // reproduce it byte for byte, run after run, machine after machine. A
 // failure here means an engine's event ORDER semantics drifted, which the
@@ -10,9 +10,9 @@
 #include <algorithm>
 #include <vector>
 
+#include "reference_sim.h"
 #include "snn/network.h"
 #include "snn/parallel_sim.h"
-#include "snn/reference_sim.h"
 #include "snn/simulator.h"
 
 namespace sga {
@@ -106,25 +106,17 @@ TEST(GoldenTrace, SerialCalendarQueue) {
   }
 }
 
-TEST(GoldenTrace, SerialMapQueue) {
-  snn::Simulator sim(golden_network(), snn::QueueKind::kMap);
+TEST(GoldenTrace, ReferenceInterpreter) {
+  const snn::Network net = golden_network();
+  snn::ReferenceSimulator sim(net);
   const snn::SimStats stats = drive(sim);
   auto log = sim.spike_log();
   std::sort(log.begin(), log.end());
   expect_golden(log, sim.first_spikes(), stats);
-}
-
-TEST(GoldenTrace, ReferenceInterpreter) {
-  const snn::Network net = golden_network();
-  snn::ReferenceSimulator sim(net);
-  sim.inject_spike(0, 0);
-  sim.inject_spike(2, 4);
-  snn::SimConfig cfg = golden_config();
-  cfg.record_causes = false;  // the reference doesn't implement causes
-  const snn::SimStats stats = sim.run(cfg);
-  auto log = sim.spike_log();
-  std::sort(log.begin(), log.end());
-  expect_golden(log, sim.first_spikes(), stats);
+  for (NeuronId id = 0; id < 7; ++id) {
+    EXPECT_EQ(sim.first_spike_cause(id), golden_causes()[id])
+        << "neuron " << id;
+  }
 }
 
 TEST(GoldenTrace, ParallelAtEveryShardCount) {
@@ -240,36 +232,28 @@ TEST(GoldenTrace, WorkStealingFiresAndPreservesTheSkewedTrace) {
   // re-deal provably triggers (worker 0's static shards {0, 2} hold 30 of
   // 32 first-window events, LPT re-deal max is 16, 30 > 1.5 × 16), the
   // steal count is a pure function of the run, and the trace is untouched
-  // — run after run, engine after engine, with and across reset() reuse.
-  for (const snn::EngineKind engine :
-       {snn::EngineKind::kMailbox, snn::EngineKind::kSharedAtomic}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "engine "
-                 << (engine == snn::EngineKind::kMailbox ? "mailbox"
-                                                         : "atomic"));
-    snn::ParallelConfig pcfg;
-    pcfg.num_shards = 4;
-    pcfg.num_threads = 2;
-    pcfg.partition = snn::PartitionKind::kLpt;  // pins neuron i → shard i
-    pcfg.engine = engine;
-    ASSERT_TRUE(pcfg.work_stealing);  // stealing is the default
-    snn::ParallelSimulator sim(skewed_network(), pcfg);
+  // — run after run, with and across reset() reuse.
+  snn::ParallelConfig pcfg;
+  pcfg.num_shards = 4;
+  pcfg.num_threads = 2;
+  pcfg.partition = snn::PartitionKind::kLpt;  // pins neuron i → shard i
+  ASSERT_TRUE(pcfg.work_stealing);  // stealing is the default
+  snn::ParallelSimulator sim(skewed_network(), pcfg);
 
-    std::uint64_t first_steals = 0;
-    for (int round = 0; round < 3; ++round) {
-      if (round > 0) sim.reset();
-      const std::uint64_t before = sim.steals();
-      const snn::SimStats stats = drive_skewed(sim);
-      expect_skewed(sim.spike_log(), stats);
-      const std::uint64_t got = sim.steals() - before;
-      EXPECT_GT(got, 0u) << "skewed instance failed to trigger a steal";
-      EXPECT_GE(sim.max_skew(), 1.5);
-      if (round == 0) {
-        first_steals = got;
-      } else {
-        EXPECT_EQ(got, first_steals) << "steal count drifted on round "
-                                     << round;
-      }
+  std::uint64_t first_steals = 0;
+  for (int round = 0; round < 3; ++round) {
+    if (round > 0) sim.reset();
+    const std::uint64_t before = sim.steals();
+    const snn::SimStats stats = drive_skewed(sim);
+    expect_skewed(sim.spike_log(), stats);
+    const std::uint64_t got = sim.steals() - before;
+    EXPECT_GT(got, 0u) << "skewed instance failed to trigger a steal";
+    EXPECT_GE(sim.max_skew(), 1.5);
+    if (round == 0) {
+      first_steals = got;
+    } else {
+      EXPECT_EQ(got, first_steals) << "steal count drifted on round "
+                                   << round;
     }
   }
 }

@@ -1,11 +1,10 @@
 // Delta-packed storage tests (ARCHITECTURE.md §1.11; ISSUE 10).
 //
 // The load-bearing suite is DIFFERENTIAL: the packed encoding must be
-// event-for-event identical to the flat narrow and wide oracles across
-// every engine variant — both queue kinds, both fan-out kinds, cause
-// recording on and off, and the sharded engine at S ∈ {1, 2, 8} — because
-// packing only changes how target columns are STORED, never what is
-// delivered. On top of that: the kAuto selection threshold, the
+// event-for-event identical to the flat narrow and wide encodings and to
+// the test-tree reference interpreter — cause recording on and off, and
+// the sharded engine at S ∈ {1, 2, 8} — because packing only changes how
+// target columns are STORED, never what is delivered. On top of that: the kAuto selection threshold, the
 // steady-state allocation-free contract (pool_misses == 0 with the decode
 // scratch in play), the patch surface (weights yes, delays no), the
 // snapshot fingerprint (a packed image refuses a flat-frozen network, with
@@ -22,6 +21,7 @@
 
 #include "core/error.h"
 #include "core/random.h"
+#include "reference_sim.h"
 #include "snn/compiled_network.h"
 #include "snn/io.h"
 #include "snn/network.h"
@@ -81,17 +81,26 @@ struct RunResult {
   SimStats stats;
   std::vector<std::pair<Time, NeuronId>> log;
   std::vector<Time> first;
+  std::vector<NeuronId> causes;
 };
 
-RunResult run_serial(const CompiledNetwork& net, const Workload& w,
-                     QueueKind q, FanoutKind f, bool causes) {
-  Simulator sim(net, q, f);
+template <typename Sim, typename Net>
+RunResult run_with(const Net& net, const Workload& w, bool causes) {
+  Sim sim(net);
   for (const auto& [id, t] : w.injections) sim.inject_spike(id, t);
   RunResult r;
   r.stats = sim.run(recording_config(causes));
   r.log = sim.spike_log();
   r.first = sim.first_spikes();
+  for (NeuronId id = 0; id < net.num_neurons(); ++id) {
+    r.causes.push_back(sim.first_spike_cause(id));
+  }
   return r;
+}
+
+RunResult run_serial(const CompiledNetwork& net, const Workload& w,
+                     bool causes) {
+  return run_with<Simulator>(net, w, causes);
 }
 
 std::vector<std::pair<Time, NeuronId>> sorted_log(
@@ -108,6 +117,7 @@ void expect_runs_eq(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.stats.end_time, b.stats.end_time) << what;
   EXPECT_EQ(a.log, b.log) << what;
   EXPECT_EQ(a.first, b.first) << what;
+  EXPECT_EQ(a.causes, b.causes) << what;
 }
 
 // ---- Width selection ----------------------------------------------------
@@ -263,25 +273,22 @@ TEST(PackedStorageFuzz, SerialEnginesAgreeEventForEvent) {
     packed.verify_invariants();
 
     for (const bool causes : {false, true}) {
-      const RunResult ref = run_serial(narrow, w, QueueKind::kCalendar,
-                                       FanoutKind::kSegmented, causes);
-      const RunResult wref = run_serial(wide, w, QueueKind::kCalendar,
-                                        FanoutKind::kSegmented, causes);
-      expect_runs_eq(wref, ref, "wide oracle seed " + std::to_string(seed));
-      for (const QueueKind q : {QueueKind::kCalendar, QueueKind::kMap}) {
-        for (const FanoutKind f :
-             {FanoutKind::kSegmented, FanoutKind::kPerSynapse}) {
-          const RunResult p = run_serial(packed, w, q, f, causes);
-          expect_runs_eq(p, ref,
-                         "packed seed " + std::to_string(seed) + " q" +
-                             std::to_string(static_cast<int>(q)) + " f" +
-                             std::to_string(static_cast<int>(f)) +
-                             (causes ? " causes" : ""));
-          EXPECT_EQ(p.stats.storage_encoding, 2);
-          EXPECT_GT(p.stats.decode_blocks, 0u);
-        }
-      }
-      EXPECT_EQ(ref.stats.decode_blocks, 0u);
+      const std::string tag =
+          " seed " + std::to_string(seed) + (causes ? " causes" : "");
+      // The nested-vector reference interpreter never sees a CSR at all.
+      const RunResult ref = run_with<ReferenceSimulator>(w.net, w, causes);
+      const RunResult nr = run_serial(narrow, w, causes);
+      const RunResult wr = run_serial(wide, w, causes);
+      const RunResult p = run_serial(packed, w, causes);
+      expect_runs_eq(nr, ref, "narrow" + tag);
+      expect_runs_eq(wr, ref, "wide" + tag);
+      expect_runs_eq(p, ref, "packed" + tag);
+      EXPECT_EQ(p.stats.storage_encoding, 2);
+      EXPECT_GT(p.stats.decode_blocks, 0u);
+      EXPECT_EQ(nr.stats.decode_blocks, 0u);
+      // Decoding never changes the segment walk.
+      EXPECT_EQ(p.stats.fanout_segments, nr.stats.fanout_segments) << tag;
+      EXPECT_EQ(p.stats.bulk_appends, nr.stats.bulk_appends) << tag;
     }
   }
 }
@@ -290,8 +297,7 @@ TEST(PackedStorageFuzz, ParallelEngineAgrees) {
   Workload w = make_workload(0xAB, 220, 2000, 9);
   const CompiledNetwork packed(w.net, StoragePolicy::kPacked);
   const CompiledNetwork narrow(w.net, StoragePolicy::kNarrow);
-  const RunResult ref = run_serial(narrow, w, QueueKind::kCalendar,
-                                   FanoutKind::kSegmented, true);
+  const RunResult ref = run_serial(narrow, w, true);
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{8}}) {
@@ -351,10 +357,8 @@ TEST(PackedStorage, PatchWeightsWorksPatchDelaysRefuses) {
     EXPECT_EQ(packed.syn_weight(k), v);
     EXPECT_EQ(narrow.syn_weight(k), v);
   }
-  const RunResult p = run_serial(packed, w, QueueKind::kCalendar,
-                                 FanoutKind::kSegmented, false);
-  const RunResult n = run_serial(narrow, w, QueueKind::kCalendar,
-                                 FanoutKind::kSegmented, false);
+  const RunResult p = run_serial(packed, w, false);
+  const RunResult n = run_serial(narrow, w, false);
   expect_runs_eq(p, n, "after patch_weights");
 
   // Delay patching would have to re-run the delta packer (runs can merge or
@@ -456,10 +460,8 @@ TEST(PackedIo, V3RoundTripKeepsTheEncodingAndTheEvents) {
   EXPECT_EQ(back.num_synapses(), packed.num_synapses());
   EXPECT_EQ(back.csr_storage_bytes(), packed.csr_storage_bytes());
   EXPECT_EQ(back.group("inputs"), packed.group("inputs"));
-  const RunResult a = run_serial(packed, w, QueueKind::kCalendar,
-                                 FanoutKind::kSegmented, false);
-  const RunResult b = run_serial(back, w, QueueKind::kCalendar,
-                                 FanoutKind::kSegmented, false);
+  const RunResult a = run_serial(packed, w, false);
+  const RunResult b = run_serial(back, w, false);
   expect_runs_eq(a, b, "io v3 round trip");
 
   // read_network (builder form) decodes through the verified compiled
@@ -468,8 +470,7 @@ TEST(PackedIo, V3RoundTripKeepsTheEncodingAndTheEvents) {
   Network builder = read_network(is);
   const CompiledNetwork flat(builder, StoragePolicy::kNarrow);
   EXPECT_FALSE(flat.storage_widths().packed);
-  const RunResult c = run_serial(flat, w, QueueKind::kCalendar,
-                                 FanoutKind::kSegmented, false);
+  const RunResult c = run_serial(flat, w, false);
   expect_runs_eq(a, c, "io v3 via builder");
 
   // Non-packed artifacts keep writing version 2 byte-for-byte.

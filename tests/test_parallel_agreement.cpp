@@ -1,8 +1,8 @@
 // Differential fuzz harness for the sharded conservative-parallel
 // simulator (snn/parallel_sim.h): on random networks and random inputs,
 // ParallelSimulator at S ∈ {1, 2, 3, 8, n} shards must be event-for-event
-// identical to the serial Simulator (both queue kinds) and to the
-// nested-vector ReferenceSimulator — per-neuron spike times, counts,
+// identical to the serial Simulator and to the test-tree nested-vector
+// ReferenceSimulator — per-neuron spike times, counts,
 // causes, final membrane potentials, canonical spike logs, and the
 // semantic SimStats. Probes, terminal-mode termination, reset() reuse, and
 // the batch driver's shard-parallelism mode are covered by the same
@@ -21,9 +21,9 @@
 #include "nga/sssp_event.h"
 #include "obs/metrics.h"
 #include "obs/probe.h"
+#include "reference_sim.h"
 #include "snn/network.h"
 #include "snn/parallel_sim.h"
-#include "snn/reference_sim.h"
 #include "snn/simulator.h"
 
 namespace sga {
@@ -98,21 +98,28 @@ struct SerialRun {
   std::vector<Voltage> v;
 };
 
-SerialRun drive_serial(const snn::CompiledNetwork& net, std::uint64_t seed,
-                       const snn::SimConfig& cfg, snn::QueueKind kind) {
-  snn::Simulator sim(net, kind);
-  inject_all(sim, seed, net.num_neurons());
+template <typename Sim>
+SerialRun observe_serial(Sim& sim, const snn::SimStats& stats,
+                         std::size_t n) {
   SerialRun r;
-  r.stats = sim.run(cfg);
+  r.stats = stats;
   r.log = canonical(sim.spike_log());
   r.first = sim.first_spikes();
-  for (NeuronId id = 0; id < net.num_neurons(); ++id) {
+  for (NeuronId id = 0; id < n; ++id) {
     r.last.push_back(sim.last_spike(id));
     r.counts.push_back(sim.spike_count(id));
     r.causes.push_back(sim.first_spike_cause(id));
     r.v.push_back(sim.potential(id));
   }
   return r;
+}
+
+SerialRun drive_serial(const snn::CompiledNetwork& net, std::uint64_t seed,
+                       const snn::SimConfig& cfg) {
+  snn::Simulator sim(net);
+  inject_all(sim, seed, net.num_neurons());
+  const snn::SimStats stats = sim.run(cfg);
+  return observe_serial(sim, stats, net.num_neurons());
 }
 
 void expect_agrees(const SerialRun& want, const snn::ParallelSimulator& sim,
@@ -158,22 +165,23 @@ TEST_P(ParallelFuzz, MatchesSerialAndReferenceAtEveryShardCount) {
   cfg.record_spike_log = true;
   cfg.record_causes = true;
 
-  const SerialRun cal = drive_serial(compiled, seed, cfg,
-                                     snn::QueueKind::kCalendar);
-  const SerialRun map = drive_serial(compiled, seed, cfg,
-                                     snn::QueueKind::kMap);
-  EXPECT_EQ(cal.log, map.log) << "seed " << seed;
-  EXPECT_EQ(cal.causes, map.causes) << "seed " << seed;
+  const SerialRun cal = drive_serial(compiled, seed, cfg);
 
-  // The pre-CSR reference interpreter anchors the whole chain. It does
-  // not implement cause recording, so that knob is dropped for it only.
+  // The pre-CSR reference interpreter anchors the whole chain: the serial
+  // engine must match it on every table, causes included.
   snn::ReferenceSimulator ref(net);
   inject_all(ref, seed, n);
-  snn::SimConfig ref_cfg = cfg;
-  ref_cfg.record_causes = false;
-  const snn::SimStats rs = ref.run(ref_cfg);
-  EXPECT_EQ(canonical(ref.spike_log()), cal.log) << "seed " << seed;
+  const snn::SimStats rs = ref.run(cfg);
+  const SerialRun want = observe_serial(ref, rs, n);
+  EXPECT_EQ(want.log, cal.log) << "seed " << seed;
+  EXPECT_EQ(want.first, cal.first) << "seed " << seed;
+  EXPECT_EQ(want.last, cal.last) << "seed " << seed;
+  EXPECT_EQ(want.counts, cal.counts) << "seed " << seed;
+  EXPECT_EQ(want.causes, cal.causes) << "seed " << seed;
+  EXPECT_EQ(want.v, cal.v) << "seed " << seed;
   EXPECT_EQ(rs.spikes, cal.stats.spikes) << "seed " << seed;
+  EXPECT_EQ(rs.deliveries, cal.stats.deliveries) << "seed " << seed;
+  EXPECT_EQ(rs.event_times, cal.stats.event_times) << "seed " << seed;
 
   for (const std::size_t shards : shard_counts(n)) {
     // Thread counts: 1 (inline schedule), 2, and 4 — more workers than
@@ -195,12 +203,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelFuzz, ::testing::Range(0, 24));
 class EngineMatrixFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(EngineMatrixFuzz, EveryEnginePartitionStealComboMatchesSerial) {
-  // The full ablation matrix of ISSUE 9: {kLpt, kCutRefined} ×
-  // {kMailbox, kSharedAtomic} × stealing {off, on} × S ∈ {1, 2, 3, 8},
-  // every cell event-for-event identical to the serial engine. Even seeds
-  // run causeless — there the shared-atomic ring IS the cross-delivery
-  // path; odd seeds record causes, exercising kSharedAtomic's documented
-  // fallback to the mailbox channel.
+  // The parallel engine's ablation matrix: {kLpt, kCutRefined} × stealing
+  // {off, on} × S ∈ {1, 2, 3, 8}, every cell event-for-event identical to
+  // the serial engine. Odd seeds record causes, so the mailboxes carry
+  // the optional sources column too.
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const snn::Network net = random_snn(seed);
   const snn::CompiledNetwork compiled = net.compile();
@@ -211,39 +217,30 @@ TEST_P(EngineMatrixFuzz, EveryEnginePartitionStealComboMatchesSerial) {
   cfg.record_spike_log = true;
   cfg.record_causes = (seed % 2) == 1;
 
-  const SerialRun cal = drive_serial(compiled, seed, cfg,
-                                     snn::QueueKind::kCalendar);
+  const SerialRun cal = drive_serial(compiled, seed, cfg);
 
   for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
     for (const snn::PartitionKind part :
          {snn::PartitionKind::kLpt, snn::PartitionKind::kCutRefined}) {
-      for (const snn::EngineKind engine :
-           {snn::EngineKind::kMailbox, snn::EngineKind::kSharedAtomic}) {
-        for (const bool steal : {false, true}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "partition "
-                       << (part == snn::PartitionKind::kLpt ? "lpt" : "cut")
-                       << " engine "
-                       << (engine == snn::EngineKind::kMailbox ? "mailbox"
-                                                               : "atomic")
-                       << " steal " << steal);
-          snn::ParallelConfig pcfg;
-          pcfg.num_shards = shards;
-          // 3 workers < 8 shards keeps the stealing path reachable; the
-          // TSan CI job runs this same matrix with real threads.
-          pcfg.num_threads = 3;
-          pcfg.partition = part;
-          pcfg.engine = engine;
-          pcfg.work_stealing = steal;
-          snn::ParallelSimulator psim(compiled, pcfg);
-          EXPECT_EQ(psim.engine(), engine);
-          EXPECT_EQ(psim.partition_kind(), part);
-          inject_all(psim, seed, n);
-          const snn::SimStats stats = psim.run(cfg);
-          expect_agrees(cal, psim, stats, "matrix", seed, shards);
-          if (!steal) {
-            EXPECT_EQ(psim.steals(), 0u);
-          }
+      for (const bool steal : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "partition "
+                     << (part == snn::PartitionKind::kLpt ? "lpt" : "cut")
+                     << " steal " << steal);
+        snn::ParallelConfig pcfg;
+        pcfg.num_shards = shards;
+        // 3 workers < 8 shards keeps the stealing path reachable; the TSan
+        // CI job runs this same matrix with real threads.
+        pcfg.num_threads = 3;
+        pcfg.partition = part;
+        pcfg.work_stealing = steal;
+        snn::ParallelSimulator psim(compiled, pcfg);
+        EXPECT_EQ(psim.partition_kind(), part);
+        inject_all(psim, seed, n);
+        const snn::SimStats stats = psim.run(cfg);
+        expect_agrees(cal, psim, stats, "matrix", seed, shards);
+        if (!steal) {
+          EXPECT_EQ(psim.steals(), 0u);
         }
       }
     }
@@ -252,10 +249,10 @@ TEST_P(EngineMatrixFuzz, EveryEnginePartitionStealComboMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineMatrixFuzz, ::testing::Range(0, 12));
 
-TEST(ParallelRegression, SharedAtomicRingClearsAcrossResetAndTerminalStop) {
-  // A terminal stop leaves undelivered arrivals parked in the shared ring
-  // (exactly as the mailbox engine leaves undrained mail); reset() must
-  // discard them, or the next run would see ghost deliveries.
+TEST(ParallelRegression, MailboxesClearAcrossResetAndTerminalStop) {
+  // A terminal stop leaves undrained cross-shard mail in the mailboxes
+  // (and undelivered events in the shard queues); reset() must discard
+  // them, or the next run would see ghost deliveries.
   const snn::Network net = random_snn(11);
   const snn::CompiledNetwork compiled = net.compile();
   const std::size_t n = compiled.num_neurons();
@@ -263,28 +260,25 @@ TEST(ParallelRegression, SharedAtomicRingClearsAcrossResetAndTerminalStop) {
   snn::SimConfig cfg;
   cfg.max_time = 500;
   cfg.record_spike_log = true;
-  const SerialRun quiescent = drive_serial(compiled, 11, cfg,
-                                           snn::QueueKind::kCalendar);
+  const SerialRun quiescent = drive_serial(compiled, 11, cfg);
   ASSERT_FALSE(quiescent.log.empty());
 
   snn::SimConfig term_cfg = cfg;
   term_cfg.terminal_neurons.push_back(quiescent.log.back().second);
-  const SerialRun terminal = drive_serial(compiled, 11, term_cfg,
-                                          snn::QueueKind::kCalendar);
+  const SerialRun terminal = drive_serial(compiled, 11, term_cfg);
 
   snn::ParallelConfig pcfg;
   pcfg.num_shards = 4;
   pcfg.num_threads = 2;
-  pcfg.engine = snn::EngineKind::kSharedAtomic;
   snn::ParallelSimulator psim(compiled, pcfg);
   inject_all(psim, 11, n);
   const snn::SimStats ts = psim.run(term_cfg);
-  expect_agrees(terminal, psim, ts, "atomic-terminal", 11, 4);
+  expect_agrees(terminal, psim, ts, "mailbox-terminal", 11, 4);
 
   psim.reset();
   inject_all(psim, 11, n);
   const snn::SimStats qs = psim.run(cfg);
-  expect_agrees(quiescent, psim, qs, "atomic-after-reset", 11, 4);
+  expect_agrees(quiescent, psim, qs, "mailbox-after-reset", 11, 4);
 }
 
 class ParallelTerminalFuzz : public ::testing::TestWithParam<int> {};
@@ -312,8 +306,7 @@ TEST_P(ParallelTerminalFuzz, TerminalTerminationMatchesSerialExactly) {
   }
   cfg.terminate_on_all = (seed % 2) == 1;
 
-  const SerialRun cal = drive_serial(compiled, seed, cfg,
-                                     snn::QueueKind::kCalendar);
+  const SerialRun cal = drive_serial(compiled, seed, cfg);
   for (const std::size_t shards : shard_counts(n)) {
     snn::ParallelConfig pcfg;
     pcfg.num_shards = shards;
@@ -416,8 +409,7 @@ TEST_P(ParallelResetFuzz, ResetReusesAcrossRunsLikeAFreshEngine) {
     if (round != seed) psim.reset();
     inject_all(psim, round, n);
     const snn::SimStats stats = psim.run(cfg);
-    const SerialRun want = drive_serial(compiled, round, cfg,
-                                        snn::QueueKind::kCalendar);
+    const SerialRun want = drive_serial(compiled, round, cfg);
     expect_agrees(want, psim, stats, "reset-round", round, 3);
   }
 }

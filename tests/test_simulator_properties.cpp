@@ -1,13 +1,16 @@
 // Property tests for the event-driven simulator on randomized networks:
 // determinism, spike-log monotonicity, accounting consistency, horizon
 // monotonicity, and LIF-dynamics invariants that must hold regardless of
-// topology or parameters.
+// topology or parameters — plus the contract of the test-tree
+// ReferenceSimulator the differential suites use as their serial oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/error.h"
 #include "core/random.h"
+#include "reference_sim.h"
 #include "snn/network.h"
 #include "snn/neuron.h"
 #include "snn/probe.h"
@@ -163,14 +166,28 @@ TEST_P(SimProperties, ResetReusedSimulatorMatchesFresh) {
 }
 
 TEST_P(SimProperties, MapQueueSimulatorSupportsResetToo) {
+  // The calendar queue keeps events beyond its ring window in an ordered
+  // map (the spill). A horizon stop that strands events there must be
+  // fully recycled by reset(): the reused simulator then matches a fresh
+  // one, including a second trip through the spill and its migration.
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const Network net = random_network(seed, 25, 100);
-  const auto fresh = run_once(net, seed, 120);
-  Simulator sim(net, QueueKind::kMap);
-  run_with(sim, net, seed + 7, 60);
+  Simulator sim(net);
+  sim.inject_spike(0, 5'000);  // far beyond the 64-slot window
+  const auto stopped = run_with(sim, net, seed + 7, 60);
+  EXPECT_TRUE(stopped.stats.hit_time_limit);
+  EXPECT_GE(stopped.stats.overflow_spills, 1u);
   sim.reset();
   const auto reused = run_with(sim, net, seed, 120);
-  expect_same_run(fresh, reused, "map-queue reset()");
+  expect_same_run(run_once(net, seed, 120), reused, "reset() after a spill");
+
+  sim.reset();
+  Simulator fresh(net);
+  for (Simulator* s : {&sim, &fresh}) s->inject_spike(1, 300);
+  const auto spilled_again = run_with(sim, net, seed, 400);
+  EXPECT_GE(spilled_again.stats.overflow_spills, 1u);
+  expect_same_run(run_with(fresh, net, seed, 400), spilled_again,
+                  "spill and migrate after reset()");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimProperties, ::testing::Range(0, 10));
@@ -190,13 +207,15 @@ TEST(SimInvariants, QueueCountersAreReported) {
   EXPECT_GE(cs.max_bucket_occupancy, 1u);
   EXPECT_EQ(cs.overflow_spills, 0u);  // delay 3 fits the 64-slot window
 
-  Simulator map(net, QueueKind::kMap);
-  EXPECT_EQ(map.queue_kind(), QueueKind::kMap);
-  map.inject_spike(a, 0);
-  const SimStats ms = map.run();
-  EXPECT_EQ(ms.ring_buckets, 0u);  // no ring in the legacy queue
-  EXPECT_EQ(ms.spikes, cs.spikes);
-  EXPECT_EQ(ms.peak_queue_events, cs.peak_queue_events);
+  // The event-stream counters match the reference interpreter's map queue;
+  // the ring-only counters stay 0 there.
+  ReferenceSimulator ref(net);
+  ref.inject_spike(a, 0);
+  const SimStats rs = ref.run();
+  EXPECT_EQ(rs.ring_buckets, 0u);
+  EXPECT_EQ(rs.spikes, cs.spikes);
+  EXPECT_EQ(rs.peak_queue_events, cs.peak_queue_events);
+  EXPECT_EQ(rs.max_bucket_occupancy, cs.max_bucket_occupancy);
 }
 
 TEST(SimInvariants, FarFutureEventsSpillAndMigrate) {
@@ -463,6 +482,124 @@ TEST(SimInvariants, MixedSizeReuseBoundsPoolStorage) {
   sim.inject_spike(0, 0);
   const SimStats after = sim.run(small_cfg);
   EXPECT_EQ(after.pool_misses, 0u);
+}
+
+// ---- The test-tree reference interpreter ---------------------------------
+
+TEST(ReferenceSimulator, RecordsFirstSpikeCausesWithSerialTieBreak) {
+  // Same-step arrivals with equal and unequal weights. The cause of a
+  // first spike is the largest-weight delivery of the firing step, ties to
+  // the smallest source id, whatever order the deliveries arrive in.
+  Network net;
+  std::vector<NeuronId> src;
+  for (int i = 0; i < 5; ++i) src.push_back(net.add_threshold_neuron(1));
+  const NeuronId tie = net.add_neuron({0, 2, 0.0});
+  const NeuronId heavy = net.add_neuron({0, 3, 0.0});
+  const NeuronId mixed = net.add_neuron({0, 1, 0.0});
+  const NeuronId late = net.add_neuron({0, 2, 0.0});
+  const NeuronId forced = net.add_neuron({0, 1, 0.0});
+  // tie: three weight-1 arrivals at t = 2, inserted largest id first.
+  net.add_synapse(src[3], tie, 1, 2);
+  net.add_synapse(src[1], tie, 1, 2);
+  net.add_synapse(src[2], tie, 1, 2);
+  // heavy: weights 1, 2, 2 at t = 1; the weight-2 tie goes to src[2].
+  net.add_synapse(src[0], heavy, 1, 1);
+  net.add_synapse(src[4], heavy, 2, 1);
+  net.add_synapse(src[2], heavy, 2, 1);
+  // mixed: an inhibitory arrival from the smallest id never wins.
+  net.add_synapse(src[0], mixed, -1, 3);
+  net.add_synapse(src[3], mixed, 2, 3);
+  // late: src[0]'s t = 1 arrival does not fire it; the t = 4 one does.
+  net.add_synapse(src[0], late, 1, 1);
+  net.add_synapse(src[4], late, 1, 4);
+  // forced: injected, so uncaused even though a delivery lands with it.
+  net.add_synapse(src[1], forced, 1, 5);
+
+  SimConfig cfg;
+  cfg.record_causes = true;
+  cfg.record_spike_log = true;
+  ReferenceSimulator ref(net);
+  Simulator sim(net);
+  for (const NeuronId s : src) {
+    ref.inject_spike(s, 0);
+    sim.inject_spike(s, 0);
+  }
+  ref.inject_spike(forced, 5);
+  sim.inject_spike(forced, 5);
+  ref.run(cfg);
+  sim.run(cfg);
+
+  EXPECT_EQ(ref.first_spike(tie), 2);
+  EXPECT_EQ(ref.first_spike_cause(tie), src[1]);
+  EXPECT_EQ(ref.first_spike(heavy), 1);
+  EXPECT_EQ(ref.first_spike_cause(heavy), src[2]);
+  EXPECT_EQ(ref.first_spike(mixed), 3);
+  EXPECT_EQ(ref.first_spike_cause(mixed), src[3]);
+  EXPECT_EQ(ref.first_spike(late), 4);
+  EXPECT_EQ(ref.first_spike_cause(late), src[4]);
+  EXPECT_EQ(ref.first_spike(forced), 5);
+  EXPECT_EQ(ref.first_spike_cause(forced), kNoNeuron);
+  for (const NeuronId s : src) EXPECT_EQ(ref.first_spike_cause(s), kNoNeuron);
+
+  // The production engine, which appends the same deliveries in delay-run
+  // order, agrees neuron for neuron.
+  for (NeuronId id = 0; id < net.num_neurons(); ++id) {
+    EXPECT_EQ(ref.first_spike_cause(id), sim.first_spike_cause(id))
+        << "neuron " << id;
+    EXPECT_EQ(ref.spike_count(id), sim.spike_count(id)) << "neuron " << id;
+    EXPECT_EQ(ref.potential(id), sim.potential(id)) << "neuron " << id;
+  }
+}
+
+TEST(ReferenceSimulator, InjectionBoundsAndHorizonMatchSimulator) {
+  Network net;
+  const NeuronId a = net.add_threshold_neuron(1);
+  const NeuronId b = net.add_threshold_neuron(1);
+  const NeuronId c = net.add_threshold_neuron(1);
+  net.add_synapse(a, b, 1, 7);
+  net.add_synapse(b, c, 1, 1'000);
+
+  // inject_spike accepts exactly [0, kNever] in both engines.
+  for (const Time bad : {Time{-1}, kNever + 1}) {
+    ReferenceSimulator ref(net);
+    Simulator sim(net);
+    EXPECT_THROW(ref.inject_spike(a, bad), Error) << bad;
+    EXPECT_THROW(sim.inject_spike(a, bad), Error) << bad;
+  }
+
+  // Both clamp max_time to kNever: a spike injected at kNever fans out past
+  // kNever, which the largest representable horizon drops exactly like
+  // max_time = kNever does (hit_time_limit, not a spurious pause);
+  // ordinary horizons drop fan-out alike, and a negative one processes
+  // nothing.
+  for (const Time horizon : {std::numeric_limits<Time>::max(), kNever,
+                             Time{3'000}, Time{7}, Time{0}, Time{-1}}) {
+    SimConfig cfg;
+    cfg.max_time = horizon;
+    ReferenceSimulator ref(net);
+    Simulator sim(net);
+    ref.inject_spike(a, 0);
+    sim.inject_spike(a, 0);
+    ref.inject_spike(b, kNever);
+    sim.inject_spike(b, kNever);
+    const SimStats rs = ref.run(cfg);
+    const SimStats ss = sim.run(cfg);
+    SCOPED_TRACE(::testing::Message() << "max_time " << horizon);
+    EXPECT_EQ(rs.spikes, ss.spikes);
+    EXPECT_EQ(rs.deliveries, ss.deliveries);
+    EXPECT_EQ(rs.event_times, ss.event_times);
+    EXPECT_EQ(rs.end_time, ss.end_time);
+    EXPECT_EQ(rs.hit_terminal, ss.hit_terminal);
+    EXPECT_EQ(rs.hit_time_limit, ss.hit_time_limit);
+    EXPECT_EQ(rs.paused, ss.paused);
+    EXPECT_FALSE(ss.paused);
+    EXPECT_EQ(rs.peak_queue_events, ss.peak_queue_events);
+    for (const NeuronId id : {a, b, c}) {
+      EXPECT_EQ(ref.first_spike(id), sim.first_spike(id));
+      EXPECT_EQ(ref.last_spike(id), sim.last_spike(id));
+      EXPECT_EQ(ref.spike_count(id), sim.spike_count(id));
+    }
+  }
 }
 
 }  // namespace
